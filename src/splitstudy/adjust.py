@@ -5,6 +5,9 @@ ratio; stacked events compose multiplicatively. Bars on or after an event
 date already trade at post-split prices and are left alone. In
 ``prices_and_volume`` mode volumes are scaled up by the same factor, which
 keeps per-bar notional (close x volume) constant to within rounding.
+
+Events are grouped by ticker once, so each bar's factor is a product over
+its own ticker's events only, taken in their input order.
 """
 
 from __future__ import annotations
@@ -13,20 +16,16 @@ from dataclasses import replace
 from typing import Sequence
 
 from .errors import DataError
-from .models import SplitEvent, TradingBar
+from .models import SplitEvent, TradingBar, group_by_ticker
 
 PRICES = "prices"
 PRICES_AND_VOLUME = "prices_and_volume"
 
 
-def cumulative_factor(
-    date, events: Sequence[SplitEvent], ticker: str | None = None
-) -> float:
+def cumulative_factor(date, events: Sequence[SplitEvent]) -> float:
     """Product of ratios of all events strictly after ``date``."""
     factor = 1.0
     for event in events:
-        if ticker is not None and event.ticker != ticker:
-            continue
         if date < event.effective_date:
             factor *= event.ratio
     return factor
@@ -44,9 +43,10 @@ def split_adjust(
     """
     if mode not in (PRICES, PRICES_AND_VOLUME):
         raise DataError(f"unknown adjustment mode {mode!r}")
+    events_by_ticker = group_by_ticker(events)
     adjusted: list[TradingBar] = []
     for bar in bars:
-        factor = cumulative_factor(bar.date, events, ticker=bar.ticker)
+        factor = cumulative_factor(bar.date, events_by_ticker.get(bar.ticker, ()))
         if factor == 1.0:
             adjusted.append(bar)
             continue

@@ -10,8 +10,11 @@ import datetime
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, TypeVar
 
 from .errors import DataError
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -174,3 +177,11 @@ class EventWindow:
         if hi < lo:
             raise DataError(f"empty offset range [{lo}, {hi}]")
         return len(self.bars_between(lo, hi)) / (hi - lo + 1)
+
+
+def group_by_ticker(rows: Iterable[_T]) -> dict[str, list[_T]]:
+    """Rows grouped by their ``ticker``, groups and rows in input order."""
+    groups: dict[str, list[_T]] = {}
+    for row in rows:
+        groups.setdefault(row.ticker, []).append(row)
+    return groups

@@ -114,26 +114,31 @@ def price_at(
 
     ``min_offset``/``max_offset`` restrict which bars may substitute, so a
     pre-split endpoint never borrows a post-split bar and vice versa.
-    Ties prefer the earlier offset.
+    Ties prefer the earlier offset. Candidates are probed outward from
+    ``offset``, so a lookup costs O(tolerance), not O(window).
     """
-    best: tuple[int, int] | None = None  # (distance, offset)
-    for candidate in window.offsets:
-        if min_offset is not None and candidate < min_offset:
-            continue
-        if max_offset is not None and candidate > max_offset:
-            continue
-        distance = abs(candidate - offset)
-        if distance > tolerance:
-            continue
-        if best is None or (distance, candidate) < best:
-            best = (distance, candidate)
-    if best is None:
-        raise DataError(
-            f"no bar within {tolerance} trading days of offset {offset}"
-        )
-    bar = window.bar_at(best[1])
-    assert bar is not None
-    return _price(bar, price_field)
+    for distance in range(tolerance + 1):
+        candidates = (offset - distance, offset + distance) if distance else (offset,)
+        for candidate in candidates:
+            if min_offset is not None and candidate < min_offset:
+                continue
+            if max_offset is not None and candidate > max_offset:
+                continue
+            bar = window.bar_at(candidate)
+            if bar is not None:
+                return _price(bar, price_field)
+    raise DataError(
+        f"no bar within {tolerance} trading days of offset {offset}"
+    )
+
+
+def _same_side_price(
+    window: EventWindow, offset: int, price_field: str, tolerance: int
+) -> float:
+    """``price_at`` substituting only from ``offset``'s side of day 0."""
+    if offset < 0:
+        return price_at(window, offset, price_field, tolerance, max_offset=-1)
+    return price_at(window, offset, price_field, tolerance, min_offset=0)
 
 
 def price_change_pct(
@@ -143,9 +148,13 @@ def price_change_pct(
     price_field: str = ADJ_CLOSE,
     tolerance: int = NEAREST_TOLERANCE,
 ) -> float:
-    """Percent price change from offset lo to offset hi."""
-    start = price_at(window, lo, price_field, tolerance)
-    end = price_at(window, hi, price_field, tolerance)
+    """Percent price change from offset lo to offset hi.
+
+    Each endpoint substitutes only from its own side of the split: a
+    negative offset from offsets <= -1, any other from offsets >= 0.
+    """
+    start = _same_side_price(window, lo, price_field, tolerance)
+    end = _same_side_price(window, hi, price_field, tolerance)
     return 100.0 * (end - start) / start
 
 

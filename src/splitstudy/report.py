@@ -40,6 +40,7 @@ from .models import (
     ReferenceRateSeries,
     SplitEvent,
     TradingBar,
+    group_by_ticker,
 )
 from .prices import (
     ADJ_CLOSE,
@@ -430,10 +431,13 @@ def analyze_universe(
     """Analyze every event; return (samples, exclusions) in stable order."""
     if not events:
         raise NoSamplesError("split calendar is empty")
-    if params.volume_basis == "adjusted":
-        volume_bars = split_adjust(bars, events, PRICES_AND_VOLUME)
-    else:
-        volume_bars = list(bars)
+    adjusted = params.volume_basis == "adjusted"
+    bars_by_ticker = group_by_ticker(bars)
+    volume_bars_by_ticker = (
+        group_by_ticker(split_adjust(bars, events, PRICES_AND_VOLUME))
+        if adjusted else bars_by_ticker
+    )
+    fundamentals_by_ticker = group_by_ticker(fundamentals)
 
     samples: list[SampleAnalysis] = []
     exclusions: list[dict[str, str]] = []
@@ -441,18 +445,23 @@ def analyze_universe(
         sample_id = f"{event.ticker}@{event.effective_date.isoformat()}"
         try:
             window = align_to_event(
-                bars, event, params.pre_span, params.post_span,
-                params.min_coverage,
+                bars_by_ticker.get(event.ticker, []), event,
+                params.pre_span, params.post_span, params.min_coverage,
             )
-            volume_window = align_to_event(
-                volume_bars, event, params.pre_span, params.post_span,
-                params.min_coverage,
-            )
+            volume_window = window
+            if adjusted:
+                volume_window = align_to_event(
+                    volume_bars_by_ticker.get(event.ticker, []), event,
+                    params.pre_span, params.post_span, params.min_coverage,
+                )
         except CoverageError as exc:
             exclusions.append({"sample": sample_id, "reason": str(exc)})
             continue
         samples.append(
-            analyze_sample(event, window, volume_window, rates, fundamentals, params)
+            analyze_sample(
+                event, window, volume_window, rates,
+                fundamentals_by_ticker.get(event.ticker, []), params,
+            )
         )
     if not samples:
         raise NoSamplesError(

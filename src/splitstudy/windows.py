@@ -20,6 +20,10 @@ def align_to_event(
 ) -> EventWindow:
     """Re-index a ticker's bars to offsets [-pre_days, +post_days] around day 0.
 
+    Callers should pass one ticker's date-sorted bars: the ticker filter
+    below then keeps every bar, and the cost is linear in that ticker's
+    history. The filter stays so a mixed universe still aligns correctly.
+
     Day 0 is the bar on, or the first trading day after, the event's
     effective date. Offsets count data rows, so a window only loses
     coverage where the series runs out of rows at either end. A window is

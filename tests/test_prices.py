@@ -3,21 +3,24 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splitstudy.errors import DataError
+from splitstudy.models import EventWindow, SplitEvent
 from splitstudy.prices import (
+    CLOSE,
     RAW,
     SPLIT_ADJUSTED,
     gap_series,
     period_averages,
+    price_at,
     price_change_pct,
     value_factor,
 )
-from splitstudy.synthetic import ScenarioSpec, generate_history
+from splitstudy.synthetic import ScenarioSpec, generate_history, trading_calendar
 from splitstudy.windows import align_to_event
 
-from conftest import window_for
+from conftest import START, make_bar, window_for
 
 
 def _window_183(closes, **kwargs):
@@ -93,6 +96,16 @@ def test_price_change_nearest_bar_rule():
         price_change_pct(window, 0, 14)
 
 
+def test_price_change_never_crosses_the_split_boundary():
+    # Raw closes halve at the split; the window starts at day 0, so offset
+    # -1 is missing and the nearest bar within tolerance is post-split.
+    halved = window_for([8.0] * 5 + [4.0] * 10, split_index=5, pre=5, post=9)
+    from_day0 = window_for([4.0] * 10, split_index=0, pre=5, post=9)
+    assert price_change_pct(halved, -1, 3) == pytest.approx(-50.0)
+    with pytest.raises(DataError, match="within 3 trading days of offset -1"):
+        price_change_pct(from_day0, -1, 3)
+
+
 def test_value_factor_reference_cases_exact():
     assert value_factor(0.52, 1.1).value_factor == 0.572
     assert value_factor(0.36, 1.1).value_factor == 0.396
@@ -162,3 +175,95 @@ def test_gaps_are_never_negative():
     window = align_to_event(bars, event, 50, 50)
     for basis in (RAW, SPLIT_ADJUSTED):
         assert all(g >= 0 for g in gap_series(window, -50, 50, basis).gaps)
+
+
+def _full_scan_price_at(
+    window, offset, price_field, tolerance, min_offset=None, max_offset=None
+):
+    """Brute-force oracle: scan every offset for the (distance, offset) minimum."""
+    best = None
+    for candidate in window.offsets:
+        if min_offset is not None and candidate < min_offset:
+            continue
+        if max_offset is not None and candidate > max_offset:
+            continue
+        distance = abs(candidate - offset)
+        if distance > tolerance:
+            continue
+        if best is None or (distance, candidate) < best:
+            best = (distance, candidate)
+    if best is None:
+        raise DataError(f"no bar within {tolerance} trading days of offset {offset}")
+    return getattr(window.bar_at(best[1]), price_field)
+
+
+@st.composite
+def _interior_gap_windows(draw):
+    """Hand-built window over an arbitrary offset subset containing 0."""
+    span = draw(st.integers(0, 10))
+    keep = draw(st.lists(st.booleans(), min_size=2 * span + 1, max_size=2 * span + 1))
+    offsets = [o for o, k in zip(range(-span, span + 1), keep) if k or o == 0]
+    dates = trading_calendar(START, 2 * span + 1)
+    # close 100 + offset makes the returned price name the chosen offset
+    bars = [make_bar(date=dates[o + span], close=100.0 + o) for o in offsets]
+    event = SplitEvent("X", dates[span], 2.0)
+    return EventWindow(
+        event=event,
+        bars=tuple(bars),
+        offsets=tuple(offsets),
+        coverage=len(offsets) / (2 * span + 1),
+        span=(-span, span),
+    )
+
+
+@st.composite
+def _edge_gap_windows(draw):
+    """Aligned window whose requested span runs past the series at either end."""
+    n = draw(st.integers(1, 15))
+    split_index = draw(st.integers(0, n - 1))
+    pre = draw(st.integers(0, split_index + 4))
+    post = draw(st.integers(0, n - split_index + 3))
+    closes = [100.0 + i - split_index for i in range(n)]
+    return window_for(closes, split_index=split_index, pre=pre, post=post)
+
+
+@settings(max_examples=300)
+@given(
+    window=st.one_of(_interior_gap_windows(), _edge_gap_windows()),
+    tolerance=st.integers(0, 5),
+    data=st.data(),
+)
+def test_price_at_probe_matches_full_scan(window, tolerance, data):
+    lo, hi = window.span
+    near_span = st.integers(lo - 6, hi + 6)
+    # offsets inside a gap are where the nearest-bar search and ties matter
+    gaps = [o for o in range(lo, hi + 1) if window.bar_at(o) is None]
+    offset = data.draw(st.sampled_from(gaps) | near_span if gaps else near_span)
+    min_offset = data.draw(st.none() | near_span)
+    max_offset = data.draw(st.none() | near_span)
+    args = (window, offset, CLOSE, tolerance, min_offset, max_offset)
+    try:
+        expected = _full_scan_price_at(*args)
+    except DataError:
+        with pytest.raises(DataError):
+            price_at(*args)
+    else:
+        assert price_at(*args) == expected
+
+
+def test_price_at_tie_prefers_earlier_offset():
+    dates = trading_calendar(START, 7)
+    offsets = (-3, -1, 0, 1, 3)
+    window = EventWindow(
+        event=SplitEvent("X", dates[3], 2.0),
+        bars=tuple(make_bar(date=dates[o + 3], close=100.0 + o) for o in offsets),
+        offsets=offsets,
+        coverage=5 / 7,
+        span=(-3, 3),
+    )
+    assert price_at(window, -2, CLOSE) == 97.0
+    assert price_at(window, 2, CLOSE) == 101.0
+    assert price_at(window, 2, CLOSE, min_offset=2) == 103.0
+    assert price_at(window, -2, CLOSE, max_offset=-2) == 97.0
+    with pytest.raises(DataError):
+        price_at(window, -2, CLOSE, tolerance=0)

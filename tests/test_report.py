@@ -1,21 +1,27 @@
 """Pipeline orchestration, report determinism and emission."""
 
+import functools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, NoSamplesError
-from splitstudy.models import SplitEvent
+from splitstudy.models import SplitEvent, group_by_ticker
 from splitstudy.report import (
+    VOLUME_BASES,
     RunConfig,
     RunParams,
+    _sample_dict,
     analyze_universe,
     available_selectors,
     emit,
     run_pipeline,
 )
 from splitstudy.synthetic import ScenarioSpec, generate_history
+from splitstudy.windows import align_to_event
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +260,98 @@ def test_demo_universe_deterministic():
     a = demo_universe(seed=7)
     b = demo_universe(seed=7)
     assert a == b
+
+
+def test_price_change_absent_when_window_starts_at_day_zero():
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=400, daily_vol=0.0, volume_noise=0.0,
+                     split_day=140, split_ratio=2.0)
+    )
+    params = RunParams(hypothesis="h2", price_basis="raw", min_coverage=0.0)
+    (full,), _ = analyze_universe(bars, [event], [], None, params)
+    assert full.post_price_changes[3] == pytest.approx(-50.0)
+    # The same raw path with every pre-split row removed: offset -1 is
+    # missing, and day 0 (already halved) must not stand in for it.
+    from_day0 = [b for b in bars if b.date >= event.effective_date]
+    (sample,), _ = analyze_universe(from_day0, [event], [], None, params)
+    assert sample.post_price_changes == {}
+    assert sample.around_price_changes == {}
+    assert (
+        "price_change_3m: no bar within 3 trading days of offset -1"
+        in sample.notes
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _demo():
+    return demo_universe(seed=3)
+
+
+def _interleave(groups, rng):
+    """Merge row lists at random, keeping each list's own order."""
+    queues = [list(reversed(g)) for g in groups if g]
+    merged = []
+    while queues:
+        queue = rng.choice(queues)
+        merged.append(queue.pop())
+        if not queue:
+            queues.remove(queue)
+    return merged
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    target=st.integers(0, 8),
+    others=st.sets(st.integers(0, 8), min_size=1, max_size=4),
+    reverse=st.booleans(),
+    mix_seed=st.integers(0, 2**32 - 1),
+    volume_basis=st.sampled_from(VOLUME_BASES),
+)
+def test_sample_does_not_depend_on_other_tickers(
+    target, others, reverse, mix_seed, volume_basis
+):
+    bars, events, fundamentals, rates = _demo()
+    grouped = [group_by_ticker(rows) for rows in (bars, events, fundamentals)]
+    tickers = sorted(grouped[1])
+    mine = tickers[target]
+    params = RunParams(volume_basis=volume_basis)
+    alone, _ = analyze_universe(
+        *(g[mine] for g in grouped), rates, params
+    )
+    (expected,) = alone
+
+    universe = sorted({mine} | {tickers[i] for i in others}, reverse=reverse)
+    if reverse:  # whole ticker blocks in reverse ticker order
+        mixed = [[row for t in universe for row in g[t]] for g in grouped]
+    else:  # rows interleaved across tickers
+        rng = random.Random(mix_seed)
+        mixed = [_interleave([g[t] for t in universe], rng) for g in grouped]
+    samples, _ = analyze_universe(*mixed, rates, params)
+    (sample,) = [s for s in samples if s.sample_id == expected.sample_id]
+    assert _sample_dict(sample, params) == _sample_dict(expected, params)
+
+
+@pytest.mark.parametrize("volume_basis, passes", [("raw", 1), ("adjusted", 2)])
+def test_alignment_reads_each_event_tickers_bars_once(
+    monkeypatch, volume_basis, passes
+):
+    bars, events, fundamentals, rates = _demo()
+    # a ticker without splits must never be handed to the aligner
+    market, _ = generate_history(
+        ScenarioSpec(seed=5, n_days=540, split_day=270, ticker="MKT")
+    )
+    seen = []
+
+    def counting_align(ticker_bars, *args, **kwargs):
+        seen.append(len(ticker_bars))
+        return align_to_event(ticker_bars, *args, **kwargs)
+
+    monkeypatch.setattr("splitstudy.report.align_to_event", counting_align)
+    event_tickers = {e.ticker for e in events}
+    event_bars = sum(1 for b in bars if b.ticker in event_tickers)
+    analyze_universe(
+        market + bars, events, fundamentals, rates,
+        RunParams(hypothesis="h1", volume_basis=volume_basis),
+    )
+    assert len(seen) == passes * len(events)
+    assert sum(seen) == passes * event_bars
