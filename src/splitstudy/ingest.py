@@ -7,16 +7,19 @@ All files are UTF-8, comma-separated, header required:
     fundamentals.csv: ticker,fiscal_year,net_profit,shareholders_equity
     rates.csv:        date,rate
 
-Dates are ISO-8601 (YYYY-MM-DD). Parse errors always carry the offending
-line number. Parsing then writing any valid file is lossless field-wise.
+Dates are ISO-8601 (YYYY-MM-DD). Numbers must be finite. Parse errors
+always carry the offending line number. Parsing then writing any valid file
+is lossless field-wise.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import math
+import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .models import FundamentalRecord, ReferenceRateSeries, SplitEvent, TradingBar
@@ -27,7 +30,7 @@ FUNDAMENTALS_HEADER = ["ticker", "fiscal_year", "net_profit", "shareholders_equi
 RATES_HEADER = ["date", "rate"]
 
 
-def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
@@ -42,7 +45,9 @@ def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]
                 f"{path}: header {','.join(first)!r} does not match expected "
                 f"{','.join(header)!r}"
             )
-        return [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
 
 
 def _parse_date(text: str, lineno: int) -> datetime.date:
@@ -67,38 +72,81 @@ def _parse_int(text: str, lineno: int, name: str) -> int:
 
 
 def parse_bars(path: str | Path) -> list[TradingBar]:
-    """Read bars.csv into validated bars sorted by (ticker, date)."""
+    """Read bars.csv into validated bars sorted by (ticker, date).
+
+    Each row is converted and checked by ``TradingBar`` in one step. A row
+    that fails, lacks a ticker or repeats a (ticker, date) key is parsed
+    again by ``_parse_bar_row``, which raises for its first fault in field
+    order. Bars share one ticker string and one date object per distinct
+    value.
+    """
     bars: list[TradingBar] = []
-    seen: set[tuple[str, datetime.date]] = set()
+    dates: dict[str, datetime.date] = {}
+    # While keys strictly increase none can repeat, so the set of keys seen
+    # is built only once a row leaves that order; the bars are then sorted.
+    seen: set[tuple[str, datetime.date]] | None = None
+    last = ("", datetime.date.min)
     for lineno, row in _read_rows(path, BARS_HEADER):
-        if len(row) != len(BARS_HEADER):
-            raise DataError(
-                f"line {lineno}: expected {len(BARS_HEADER)} fields, got {len(row)}"
-            )
-        ticker = row[0].strip()
-        if not ticker:
-            raise DataError(f"line {lineno}: empty ticker")
-        date = _parse_date(row[1], lineno)
-        key = (ticker, date)
-        if key in seen:
-            raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
-        seen.add(key)
         try:
+            ticker, day, open_, high, low, close, adj_close, volume = row
+            date = dates.get(day)
+            if date is None:
+                date = dates[day] = datetime.date.fromisoformat(day.strip())
             bar = TradingBar(
-                ticker=ticker,
-                date=date,
-                open=_parse_float(row[2], lineno, "open"),
-                high=_parse_float(row[3], lineno, "high"),
-                low=_parse_float(row[4], lineno, "low"),
-                close=_parse_float(row[5], lineno, "close"),
-                adj_close=_parse_float(row[6], lineno, "adj_close"),
-                volume=_parse_int(row[7], lineno, "volume"),
+                sys.intern(ticker.strip()),
+                date,
+                float(open_),
+                float(high),
+                float(low),
+                float(close),
+                float(adj_close),
+                int(volume),
             )
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+            key = (bar.ticker, date)
+        except ValueError:  # DataError included
+            key = None
+        if seen is None and key is not None and key[0] and key > last:
+            last = key
+        else:
+            if seen is None:
+                seen = {(b.ticker, b.date) for b in bars}
+            if key is None or not key[0] or key in seen:
+                bar = _parse_bar_row(lineno, row, seen)
+                key = (bar.ticker, bar.date)
+            seen.add(key)
         bars.append(bar)
-    bars.sort(key=lambda b: (b.ticker, b.date))
+    if seen is not None:
+        bars.sort(key=lambda b: (b.ticker, b.date))
     return bars
+
+
+def _parse_bar_row(
+    lineno: int, row: list[str], seen: set[tuple[str, datetime.date]]
+) -> TradingBar:
+    """One bars.csv row checked field by field; raises for its first fault."""
+    if len(row) != len(BARS_HEADER):
+        raise DataError(
+            f"line {lineno}: expected {len(BARS_HEADER)} fields, got {len(row)}"
+        )
+    ticker = row[0].strip()
+    if not ticker:
+        raise DataError(f"line {lineno}: empty ticker")
+    date = _parse_date(row[1], lineno)
+    if (ticker, date) in seen:
+        raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
+    try:
+        return TradingBar(
+            ticker=ticker,
+            date=date,
+            open=_parse_float(row[2], lineno, "open"),
+            high=_parse_float(row[3], lineno, "high"),
+            low=_parse_float(row[4], lineno, "low"),
+            close=_parse_float(row[5], lineno, "close"),
+            adj_close=_parse_float(row[6], lineno, "adj_close"),
+            volume=_parse_int(row[7], lineno, "volume"),
+        )
+    except DataError as exc:
+        raise DataError(f"line {lineno}: {exc}") from None
 
 
 def parse_splits(path: str | Path) -> list[SplitEvent]:
@@ -121,7 +169,10 @@ def parse_splits(path: str | Path) -> list[SplitEvent]:
         if key in seen:
             raise DataError(f"line {lineno}: duplicate split for {ticker} on {date}")
         seen.add(key)
-        events.append(SplitEvent(ticker=ticker, effective_date=date, ratio=ratio))
+        try:
+            events.append(SplitEvent(ticker=ticker, effective_date=date, ratio=ratio))
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
     events.sort(key=lambda e: (e.ticker, e.effective_date))
     return events
 
@@ -146,14 +197,19 @@ def parse_fundamentals(path: str | Path) -> list[FundamentalRecord]:
                 f"line {lineno}: duplicate fundamentals for {ticker} year {year}"
             )
         seen.add(key)
-        records.append(
-            FundamentalRecord(
-                ticker=ticker,
-                fiscal_year=year,
-                net_profit=_parse_float(row[2], lineno, "net_profit"),
-                shareholders_equity=_parse_float(row[3], lineno, "shareholders_equity"),
+        net_profit = _parse_float(row[2], lineno, "net_profit")
+        equity = _parse_float(row[3], lineno, "shareholders_equity")
+        try:
+            records.append(
+                FundamentalRecord(
+                    ticker=ticker,
+                    fiscal_year=year,
+                    net_profit=net_profit,
+                    shareholders_equity=equity,
+                )
             )
-        )
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
     records.sort(key=lambda r: (r.ticker, r.fiscal_year))
     return records
 
@@ -171,7 +227,10 @@ def parse_rates(path: str | Path) -> ReferenceRateSeries:
             raise DataError(
                 f"line {lineno}: rate dates must be strictly increasing at {date}"
             )
-        pairs.append((date, _parse_float(row[1], lineno, "rate")))
+        rate = _parse_float(row[1], lineno, "rate")
+        if not math.isfinite(rate):
+            raise DataError(f"line {lineno}: rate ({rate}) must be finite")
+        pairs.append((date, rate))
     return ReferenceRateSeries(
         dates=tuple(d for d, _ in pairs), rates=tuple(r for _, r in pairs)
     )

@@ -7,6 +7,7 @@ downstream analytics never have to re-check bar sanity or window ordering.
 from __future__ import annotations
 
 import datetime
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,11 +18,11 @@ from .errors import DataError
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradingBar:
     """One trading day of OHLCV data for one ticker.
 
-    Prices are in quote currency; ``adj_close`` is the feed's
+    Prices are finite and in quote currency; ``adj_close`` is the feed's
     split-adjusted close and may sit outside the day's raw high/low range.
     """
 
@@ -35,8 +36,19 @@ class TradingBar:
     volume: int
 
     def __post_init__(self) -> None:
+        # One chain that holds exactly when every check below passes (a NaN
+        # fails every comparison), so a valid bar costs a single test.
+        if (
+            0 < self.low <= self.open <= self.high < math.inf
+            and self.low <= self.close <= self.high
+            and 0 < self.adj_close < math.inf
+            and self.volume >= 0
+        ):
+            return
         for name in ("open", "high", "low", "close", "adj_close"):
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} ({value}) must be finite")
             if not value > 0:
                 raise DataError(f"{name} ({value}) must be > 0")
         if self.low > self.high:
@@ -64,6 +76,8 @@ class SplitEvent:
     ratio: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.ratio):
+            raise DataError(f"split ratio ({self.ratio}) must be finite")
         if not self.ratio > 0:
             raise DataError(f"split ratio ({self.ratio}) must be > 0")
 
@@ -81,6 +95,12 @@ class FundamentalRecord:
     fiscal_year: int
     net_profit: float
     shareholders_equity: float
+
+    def __post_init__(self) -> None:
+        for name in ("net_profit", "shareholders_equity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} ({value}) must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Synthetic market histories with known ground truth, plus brute-force
-oracles for cross-checking the estimators.
+"""Synthetic market histories with known ground truth.
 
 Determinism contract: one RNG stream per scenario, seeded from
 ``ScenarioSpec.seed``. Only ``random.Random.random()`` is consumed (its
@@ -178,63 +177,3 @@ def reference_rates(bars: Sequence[TradingBar]) -> ReferenceRateSeries:
         dates.append(cur.date)
         rates.append((cur.adj_close - prev.adj_close) / prev.adj_close)
     return ReferenceRateSeries(dates=tuple(dates), rates=tuple(rates))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles. These deliberately share no code with the main
-# modules: plain Python loops, raw normal equations, two-pass moments.
-# ---------------------------------------------------------------------------
-
-
-def oracle_sum(values: Sequence[int]) -> int:
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
-def oracle_moments(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple[float, float, float]:
-    """(var_x, var_y, cov) by two-pass summation, population convention."""
-    if len(xs) != len(ys):
-        raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n < 2:
-        raise DataError("moments need at least 2 observations")
-    mean_x = 0.0
-    mean_y = 0.0
-    for x, y in zip(xs, ys):
-        mean_x += x
-        mean_y += y
-    mean_x /= n
-    mean_y /= n
-    var_x = 0.0
-    var_y = 0.0
-    cov = 0.0
-    for x, y in zip(xs, ys):
-        dx = x - mean_x
-        dy = y - mean_y
-        var_x += dx * dx
-        var_y += dy * dy
-        cov += dx * dy
-    return var_x / n, var_y / n, cov / n
-
-
-def oracle_ols(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """(slope, intercept) from the closed-form normal equations."""
-    n = len(points)
-    if n < 2:
-        raise DataError("OLS needs at least 2 points")
-    sum_x = sum_y = sum_xx = sum_xy = 0.0
-    for x, y in points:
-        sum_x += x
-        sum_y += y
-        sum_xx += x * x
-        sum_xy += x * y
-    denom = n * sum_xx - sum_x * sum_x
-    if denom == 0.0:
-        raise DataError("zero variance in x; slope undefined")
-    slope = (n * sum_xy - sum_x * sum_y) / denom
-    intercept = (sum_y - slope * sum_x) / n
-    return slope, intercept

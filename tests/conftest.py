@@ -6,11 +6,19 @@ import datetime
 
 import pytest
 
+import oracles
+import splitstudy.synthetic
 from splitstudy.models import SplitEvent, TradingBar
 from splitstudy.synthetic import trading_calendar
 from splitstudy.windows import align_to_event
 
 START = datetime.date(2013, 1, 1)
+
+# The acceptance gate (test_acceptance.py) is kept byte for byte and still
+# imports the brute-force oracles from splitstudy.synthetic, their home
+# before they moved to tests/oracles.py; hand them to it from here.
+for _name in ("oracle_sum", "oracle_moments", "oracle_ols"):
+    setattr(splitstudy.synthetic, _name, getattr(oracles, _name))
 
 
 def make_bar(

@@ -1,0 +1,155 @@
+"""Reference implementations the tests compare the engine against.
+
+They deliberately share no code with the engine's modules: plain Python
+loops, raw normal equations, two-pass moments, and the field-by-field bars
+parser that ``ingest.parse_bars`` must agree with.
+"""
+
+from __future__ import annotations
+
+import csv
+import datetime
+import math
+from pathlib import Path
+from typing import Sequence
+
+from splitstudy.errors import DataError
+from splitstudy.models import TradingBar
+
+BARS_HEADER = ["ticker", "date", "open", "high", "low", "close", "adj_close", "volume"]
+
+
+def oracle_sum(values: Sequence[int]) -> int:
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def oracle_moments(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[float, float, float]:
+    """(var_x, var_y, cov) by two-pass summation, population convention."""
+    if len(xs) != len(ys):
+        raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    n = len(xs)
+    if n < 2:
+        raise DataError("moments need at least 2 observations")
+    mean_x = 0.0
+    mean_y = 0.0
+    for x, y in zip(xs, ys):
+        mean_x += x
+        mean_y += y
+    mean_x /= n
+    mean_y /= n
+    var_x = 0.0
+    var_y = 0.0
+    cov = 0.0
+    for x, y in zip(xs, ys):
+        dx = x - mean_x
+        dy = y - mean_y
+        var_x += dx * dx
+        var_y += dy * dy
+        cov += dx * dy
+    return var_x / n, var_y / n, cov / n
+
+
+def oracle_ols(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """(slope, intercept) from the closed-form normal equations."""
+    n = len(points)
+    if n < 2:
+        raise DataError("OLS needs at least 2 points")
+    sum_x = sum_y = sum_xx = sum_xy = 0.0
+    for x, y in points:
+        sum_x += x
+        sum_y += y
+        sum_xx += x * x
+        sum_xy += x * y
+    denom = n * sum_xx - sum_x * sum_x
+    if denom == 0.0:
+        raise DataError("zero variance in x; slope undefined")
+    slope = (n * sum_xy - sum_x * sum_y) / denom
+    intercept = (sum_y - slope * sum_x) / n
+    return slope, intercept
+
+
+def _check_bar(fields: dict) -> None:
+    """Bar invariants in their reporting order, one comparison at a time."""
+    for name in ("open", "high", "low", "close", "adj_close"):
+        value = fields[name]
+        # The one rule added to the original per-field parser: non-finite
+        # prices are rejected, each before its sign is tested.
+        if not math.isfinite(value):
+            raise DataError(f"{name} ({value}) must be finite")
+        if not value > 0:
+            raise DataError(f"{name} ({value}) must be > 0")
+    low, high = fields["low"], fields["high"]
+    body_lo = min(fields["open"], fields["close"])
+    body_hi = max(fields["open"], fields["close"])
+    if low > high:
+        raise DataError(f"low ({low}) must be <= high ({high})")
+    if low > body_lo:
+        raise DataError(f"low ({low}) must be <= min(open, close) ({body_lo})")
+    if high < body_hi:
+        raise DataError(f"high ({high}) must be >= max(open, close) ({body_hi})")
+    if fields["volume"] < 0:
+        raise DataError(f"volume ({fields['volume']}) must be >= 0")
+
+
+def parse_bars_per_field(path: str | Path) -> list[TradingBar]:
+    """bars.csv read whole, then parsed and checked field by field."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"input file not found: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise DataError(
+                f"{path}: empty file, expected header {','.join(BARS_HEADER)}"
+            )
+        if [c.strip() for c in first] != BARS_HEADER:
+            raise DataError(
+                f"{path}: header {','.join(first)!r} does not match expected "
+                f"{','.join(BARS_HEADER)!r}"
+            )
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+
+    def number(convert, text, lineno, name, hint=""):
+        try:
+            return convert(text)
+        except ValueError:
+            raise DataError(f"line {lineno}: bad {name} {text!r}{hint}")
+
+    bars = []
+    seen = set()
+    for lineno, row in rows:
+        if len(row) != len(BARS_HEADER):
+            raise DataError(
+                f"line {lineno}: expected {len(BARS_HEADER)} fields, got {len(row)}"
+            )
+        ticker = row[0].strip()
+        if not ticker:
+            raise DataError(f"line {lineno}: empty ticker")
+        try:
+            date = datetime.date.fromisoformat(row[1].strip())
+        except ValueError:
+            raise DataError(f"line {lineno}: bad date {row[1]!r} (expected YYYY-MM-DD)")
+        if (ticker, date) in seen:
+            raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
+        seen.add((ticker, date))
+        # A number that does not parse was always reported with the line
+        # number twice; the engine keeps that text, so this reference does too.
+        try:
+            fields = {
+                name: number(float, text, lineno, name)
+                for name, text in zip(BARS_HEADER[2:7], row[2:7])
+            }
+            fields["volume"] = number(int, row[7], lineno, "volume", " (expected integer)")
+            _check_bar(fields)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        bars.append(TradingBar(ticker=ticker, date=date, **fields))
+    bars.sort(key=lambda b: (b.ticker, b.date))
+    return bars

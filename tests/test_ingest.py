@@ -1,9 +1,12 @@
 """CSV parsing, validation errors and round-trip losslessness."""
 
 import datetime
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splitstudy.errors import DataError
 from splitstudy.ingest import (
@@ -18,6 +21,8 @@ from splitstudy.ingest import (
 )
 from splitstudy.models import FundamentalRecord, ReferenceRateSeries
 from splitstudy.synthetic import ScenarioSpec, generate_history
+
+from oracles import parse_bars_per_field
 
 TABLE1_RATIOS = [1.25, 1.1, 1.015, 1.068, 1.569, 2, 1.333, 1.011, 4.899]
 
@@ -100,6 +105,151 @@ def test_parse_bars_header_and_missing_file(tmp_path):
         parse_bars(bad_header)
     with pytest.raises(DataError, match="not found"):
         parse_bars(tmp_path / "nope.csv")
+
+
+BARS_HEADER_LINE = "ticker,date,open,high,low,close,adj_close,volume\n"
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (
+            parse_bars,
+            BARS_HEADER_LINE
+            + "X,2013-06-03,10,11,9,10.5,10.5,1000\n"
+            + "X,2013-06-04,10,inf,9,10.5,10.5,1000\n",
+            "line 3: high (inf) must be finite",
+        ),
+        (
+            parse_splits,
+            "ticker,effective_date,ratio\nX,2014-01-02,2\nY,2014-01-02,inf\n",
+            "line 3: split ratio (inf) must be finite",
+        ),
+        (
+            parse_fundamentals,
+            "ticker,fiscal_year,net_profit,shareholders_equity\n"
+            "X,2013,100,1000\nX,2014,nan,1000\n",
+            "line 3: net_profit (nan) must be finite",
+        ),
+        (
+            parse_rates,
+            "date,rate\n2013-01-02,0.01\n2013-01-03,inf\n",
+            "line 3: rate (inf) must be finite",
+        ),
+    ],
+    ids=["bars", "splits", "fundamentals", "rates"],
+)
+def test_non_finite_values_rejected_with_line(tmp_path, parse, text, message):
+    path = _write(tmp_path, "input.csv", text)
+    with pytest.raises(DataError) as exc_info:
+        parse(path)
+    assert str(exc_info.value) == message
+
+
+TICKERS = ("AA", " AA", "BB", "CC ")
+FAULTS = (
+    "short",
+    "long",
+    "blank_ticker",
+    "bad_date",
+    "duplicate",
+    "bad_number",
+    "bad_volume",
+    "nonpositive",
+    "low_gt_high",
+    "low_gt_body",
+    "high_lt_body",
+    "negative_volume",
+    "non_finite",
+    "blank_line",
+)
+
+
+@st.composite
+def bars_rows(draw):
+    """bars.csv data rows, mostly valid, each fault mixed in at random."""
+    rows: list[list[str]] = []
+    for _ in range(draw(st.integers(0, 12))):
+        low = draw(st.integers(4, 40))
+        open_ = draw(st.integers(low, 60))
+        close = draw(st.integers(low, 60))
+        high = draw(st.integers(max(open_, close), 70))
+        day = datetime.date(2013, 1, 1) + datetime.timedelta(draw(st.integers(0, 200)))
+        row = [
+            draw(st.sampled_from(TICKERS)),
+            draw(st.sampled_from(["", " "])) + day.isoformat(),
+            *(str(v / 4) for v in (open_, high, low, close)),
+            str(draw(st.integers(1, 80)) / 4),
+            str(draw(st.integers(0, 10**6))),
+        ]
+        fault = draw(st.sampled_from(FAULTS)) if draw(st.integers(0, 7)) == 7 else None
+        price = draw(st.integers(2, 6))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("1")
+        elif fault == "blank_ticker":
+            row[0] = " "
+        elif fault == "bad_date":
+            row[1] = draw(st.sampled_from(["2013-02-30", "13-01-05", "soon"]))
+        elif fault == "duplicate" and rows:
+            row[:2] = draw(st.sampled_from(rows))[:2]
+        elif fault == "bad_number":
+            row[price] = draw(st.sampled_from(["", "ten", "1.5.0"]))
+        elif fault == "bad_volume":
+            row[7] = draw(st.sampled_from(["1.5", "1e3", ""]))
+        elif fault == "nonpositive":
+            row[price] = draw(st.sampled_from(["0", "-2.5"]))
+        elif fault == "low_gt_high":
+            row[4] = str(high / 4 + 0.5)
+        elif fault == "low_gt_body":
+            row[4] = str(min(open_, close) / 4 + 0.125)
+        elif fault == "high_lt_body":
+            row[3] = str(max(open_, close) / 4 - 0.125)
+        elif fault == "negative_volume":
+            row[7] = "-5"
+        elif fault == "non_finite":
+            row[price] = draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
+        elif fault == "blank_line":
+            row = []
+        rows.append(row)
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: (r[0].strip(), r[1].strip()) if len(r) > 1 else ("",))
+    return rows
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(bars_rows())
+def test_parse_bars_matches_per_field_reference(rows):
+    text = BARS_HEADER_LINE + "".join(",".join(row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bars.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(parse_bars, path) == _outcome(parse_bars_per_field, path)
+
+
+def test_parse_bars_peak_memory_per_bar(tmp_path):
+    bars = []
+    for i in range(10):
+        spec = ScenarioSpec(seed=50 + i, n_days=500, split_day=250, ticker=f"T{i}")
+        bars.extend(generate_history(spec)[0])
+    path = tmp_path / "bars.csv"
+    write_bars(path, bars)
+    tracemalloc.start()
+    try:
+        parsed = parse_bars(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 5000
+    assert peak / len(parsed) < 750
 
 
 def test_parse_splits_table1_ratios(tmp_path):

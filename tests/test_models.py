@@ -32,6 +32,8 @@ def test_valid_bar_maps_fields():
         (dict(open_=10.0, close=10.6, high=10.2), "max(open, close)"),
         (dict(close=-1.0), "> 0"),
         (dict(volume=-5), "volume"),
+        (dict(high=float("inf")), "high (inf) must be finite"),
+        (dict(adj_close=float("inf")), "adj_close (inf) must be finite"),
     ],
 )
 def test_bar_invariant_violations(kwargs, fragment):
@@ -48,6 +50,8 @@ def test_split_event_validation():
         SplitEvent("X", D(2014, 1, 1), 0.0)
     with pytest.raises(DataError):
         SplitEvent("X", D(2014, 1, 1), -2.0)
+    with pytest.raises(DataError, match="finite"):
+        SplitEvent("X", D(2014, 1, 1), float("inf"))
 
 
 def test_rate_series_requires_increasing_dates():

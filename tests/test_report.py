@@ -1,5 +1,6 @@
 """Pipeline orchestration, report determinism and emission."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -166,6 +167,12 @@ def test_json_round_trip(demo_report):
     assert sample["h2"]["beta"]["window"] == [-120, -1]
     assert sample["h3"]["gap_90"]["raw"]["range"] == [-90, 90]
     assert parsed["generated_at"] is None
+
+
+def test_json_is_strict(demo_report):
+    report = dataclasses.replace(demo_report, aggregate={"mean": float("nan")})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        report.to_json()
 
 
 def test_report_is_deterministic(demo_paths, tmp_path):

@@ -24,12 +24,12 @@ from splitstudy.returns import (
 from splitstudy.synthetic import (
     ScenarioSpec,
     generate_history,
-    oracle_moments,
     reference_rates,
 )
 from splitstudy.windows import align_to_event
 
 from conftest import window_for
+from oracles import oracle_moments
 
 
 def test_pct_change_basics():

@@ -9,14 +9,13 @@ from splitstudy.returns import beta, pct_change_series
 from splitstudy.synthetic import (
     ScenarioSpec,
     generate_history,
-    oracle_moments,
-    oracle_ols,
-    oracle_sum,
     reference_rates,
     trading_calendar,
 )
 from splitstudy.volume import compare_volume, ols_fit
 from splitstudy.windows import align_to_event
+
+from oracles import oracle_moments, oracle_ols, oracle_sum
 
 
 def test_trading_calendar_is_weekdays_only():

@@ -13,9 +13,9 @@ from splitstudy.volume import (
     volume_trend,
     window_volume_total,
 )
-from splitstudy.synthetic import oracle_ols, oracle_sum
 
 from conftest import window_for
+from oracles import oracle_ols, oracle_sum
 
 
 def test_constant_volume_total():
