@@ -37,17 +37,40 @@ def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header {','.join(header)}")
-        if [c.strip() for c in first] != header:
-            raise DataError(
-                f"{path}: header {','.join(first)!r} does not match expected "
-                f"{','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if row:
-                yield lineno, row
+            try:
+                first = next(reader)
+            except StopIteration:
+                raise DataError(
+                    f"{path}: empty file, expected header {','.join(header)}"
+                )
+            if [c.strip() for c in first] != header:
+                raise DataError(
+                    f"{path}: header {','.join(first)!r} does not match expected "
+                    f"{','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    yield lineno, row
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DataError(_undecodable_line(path)) from None
+
+
+def _undecodable_line(path: Path) -> str:
+    """The first line of ``path`` that is not UTF-8, described for an error.
+
+    The text reader decodes in chunks, so the line is found by reading the
+    file again as bytes; valid input never takes this path.
+    """
+    lines = path.read_bytes().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = line[exc.start : exc.end]
+            return f"line {lineno}: undecodable bytes {bad!r} (expected UTF-8)"
+    return f"{path}: not valid UTF-8"  # the file changed after the first read
 
 
 def _parse_date(text: str, lineno: int) -> datetime.date:
@@ -134,17 +157,13 @@ def _parse_bar_row(
     date = _parse_date(row[1], lineno)
     if (ticker, date) in seen:
         raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
+    prices = [
+        _parse_float(text, lineno, name)
+        for text, name in zip(row[2:7], BARS_HEADER[2:7])
+    ]
+    volume = _parse_int(row[7], lineno, "volume")
     try:
-        return TradingBar(
-            ticker=ticker,
-            date=date,
-            open=_parse_float(row[2], lineno, "open"),
-            high=_parse_float(row[3], lineno, "high"),
-            low=_parse_float(row[4], lineno, "low"),
-            close=_parse_float(row[5], lineno, "close"),
-            adj_close=_parse_float(row[6], lineno, "adj_close"),
-            volume=_parse_int(row[7], lineno, "volume"),
-        )
+        return TradingBar(ticker, date, *prices, volume)
     except DataError as exc:
         raise DataError(f"line {lineno}: {exc}") from None
 

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -209,7 +210,65 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        return _encode(self.to_dict(), 0) + "\n"
+
+
+_compact = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+_INF = float("inf")
+
+
+def _encode(o: Any, level: int) -> str:
+    """``json.dumps(o, indent=2, allow_nan=False)`` indented for depth ``level``.
+
+    Stdlib skips its C encoder whenever ``indent`` is set, so the series of
+    ``[offset, value]`` lists are encoded compactly in C here and indented
+    by text replacement. That is exact because JSON text holds no raw
+    newline: a subtree at depth L is its depth-0 text with 2*L spaces after
+    each newline. Everything else (other types and subclasses, non-str
+    keys, non-finite floats, empty containers) goes to stdlib itself, so
+    its coercions and errors are kept.
+    """
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float and -_INF < o < _INF:
+        return float.__repr__(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if t is list and o:
+        if all(type(e) is list for e in o):
+            text = _compact(o)
+            # No string (so no non-empty dict) and no empty or nested inner
+            # list: every comma and bracket is structure.
+            if (
+                '"' not in text
+                and "[]" not in text
+                and text.count("[") == len(o) + 1
+            ):
+                inner2 = inner + "  "
+                body = (
+                    text[1:-1]
+                    .replace(",", "," + inner2)
+                    .replace("]," + inner2 + "[", "]," + inner + "[")
+                    .replace("[", "[" + inner2)
+                    .replace("]", inner + "]")
+                )
+                return "[" + inner + body + outer + "]"
+        items = [_encode(e, level + 1) for e in o]
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+    if t is dict and o and all(type(k) is str for k in o):
+        items = [
+            encode_basestring_ascii(k) + ": " + _encode(v, level + 1)
+            for k, v in o.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    return json.dumps(o, indent=2, allow_nan=False).replace("\n", outer)
 
 
 # ---------------------------------------------------------------------------

@@ -139,14 +139,12 @@ def parse_bars_per_field(path: str | Path) -> list[TradingBar]:
         if (ticker, date) in seen:
             raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
         seen.add((ticker, date))
-        # A number that does not parse was always reported with the line
-        # number twice; the engine keeps that text, so this reference does too.
+        fields = {
+            name: number(float, text, lineno, name)
+            for name, text in zip(BARS_HEADER[2:7], row[2:7])
+        }
+        fields["volume"] = number(int, row[7], lineno, "volume", " (expected integer)")
         try:
-            fields = {
-                name: number(float, text, lineno, name)
-                for name, text in zip(BARS_HEADER[2:7], row[2:7])
-            }
-            fields["volume"] = number(int, row[7], lineno, "volume", " (expected integer)")
             _check_bar(fields)
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None

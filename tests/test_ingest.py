@@ -1,6 +1,8 @@
 """CSV parsing, validation errors and round-trip losslessness."""
 
 import datetime
+import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitstudy.cli import main
 from splitstudy.errors import DataError
 from splitstudy.ingest import (
     parse_bars,
@@ -97,6 +100,54 @@ def test_parse_bars_rejects_duplicates_and_bad_rows(tmp_path):
     )
     with pytest.raises(DataError, match="volume"):
         parse_bars(neg)
+
+
+def test_parse_bars_reports_bad_number_with_one_line_prefix(tmp_path):
+    path = _write(
+        tmp_path,
+        "bars.csv",
+        "ticker,date,open,high,low,close,adj_close,volume\n"
+        "X,2013-06-03,x,11,9,10.5,10.5,1000\n",
+    )
+    with pytest.raises(DataError) as exc_info:
+        parse_bars(path)
+    assert str(exc_info.value) == "line 2: bad open 'x'"
+
+
+def _cli_exit_code(monkeypatch, bars, tmp_path):
+    splits = _write(
+        tmp_path, "splits.csv", "ticker,effective_date,ratio\nX,2013-06-04,2\n"
+    )
+    argv = ["splitstudy", "--bars", str(bars), "--splits", str(splits)]
+    monkeypatch.setattr(sys, "argv", argv + ["--out", str(tmp_path / "out")])
+    return main()
+
+
+def test_undecodable_bytes_rejected_with_line(tmp_path, monkeypatch):
+    path = tmp_path / "bars.csv"
+    path.write_bytes(
+        b"ticker,date,open,high,low,close,adj_close,volume\n"
+        b"X,2013-06-03,10,11,9,10.5,10.5,1000\n"
+        b"X\xff,2013-06-04,10,11,9,10.5,10.5,1000\n"
+    )
+    with pytest.raises(DataError) as exc_info:
+        parse_bars(path)
+    assert str(exc_info.value) == "line 3: undecodable bytes b'\\xff' (expected UTF-8)"
+    assert _cli_exit_code(monkeypatch, path, tmp_path) == 1
+
+
+def test_oversized_field_rejected_with_line(tmp_path, monkeypatch):
+    path = _write(
+        tmp_path,
+        "bars.csv",
+        "ticker,date,open,high,low,close,adj_close,volume\n"
+        "X,2013-06-03,10,11,9,10.5,10.5,1000\n"
+        f"X,2013-06-04,10,11,9,10.5,10.5,{'1' * 140_000}\n",
+    )
+    with pytest.raises(DataError) as exc_info:
+        parse_bars(path)
+    assert str(exc_info.value) == "line 3: field larger than field limit (131072)"
+    assert _cli_exit_code(monkeypatch, path, tmp_path) == 1
 
 
 def test_parse_bars_header_and_missing_file(tmp_path):
@@ -233,6 +284,111 @@ def test_parse_bars_matches_per_field_reference(rows):
         path = Path(tmp) / "bars.csv"
         path.write_text(text, encoding="utf-8")
         assert _outcome(parse_bars, path) == _outcome(parse_bars_per_field, path)
+
+
+# parser, header, number of key columns, date column, numeric columns
+SCHEMAS = {
+    "splits": (parse_splits, "ticker,effective_date,ratio", 2, 1, (2,)),
+    "fundamentals": (
+        parse_fundamentals,
+        "ticker,fiscal_year,net_profit,shareholders_equity",
+        2,
+        1,
+        (2, 3),
+    ),
+    "rates": (parse_rates, "date,rate", 1, 0, (1,)),
+}
+OTHER_FAULTS = (
+    "short",
+    "long",
+    "blank_ticker",
+    "bad_date",
+    "bad_number",
+    "non_finite",
+    "duplicate",
+    "out_of_order",
+    "undecodable",
+    "oversized",
+    "blank_line",
+)
+
+
+@st.composite
+def schema_files(draw, schema):
+    """A file of one schema: valid rows with each fault mixed in at random."""
+    _, header, key_cols, date_col, number_cols = SCHEMAS[schema]
+    lines: list[bytes] = []
+    rows: list[list[str]] = []
+    for i in range(draw(st.integers(0, 10))):
+        day = datetime.date(2013, 1, 1) + datetime.timedelta(
+            2 * i if schema == "rates" else draw(st.integers(0, 40))
+        )
+        ticker = draw(st.sampled_from(["AA", " BB", "CC "]))
+        if schema == "splits":
+            row = [ticker, day.isoformat(), str(draw(st.integers(1, 40)) / 4)]
+        elif schema == "fundamentals":
+            row = [
+                ticker,
+                str(draw(st.integers(2000, 2012))),
+                str(draw(st.integers(-500, 500))),
+                str(draw(st.integers(1, 5000))),
+            ]
+        else:
+            row = [day.isoformat(), str(draw(st.integers(-100, 100)) / 1000)]
+        fault = None
+        if draw(st.integers(0, 5)) == 5:
+            fault = draw(st.sampled_from(OTHER_FAULTS))
+        column = draw(st.sampled_from(number_cols))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("1")
+        elif fault == "blank_ticker":
+            row[0] = " "
+        elif fault == "bad_date":
+            row[date_col] = draw(st.sampled_from(["2013-02-30", "soon", "20x3", ""]))
+        elif fault == "bad_number":
+            row[column] = draw(st.sampled_from(["", "ten", "1.5.0"]))
+        elif fault == "non_finite":
+            row[column] = draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
+        elif fault == "duplicate" and rows:
+            row[:key_cols] = draw(st.sampled_from(rows))[:key_cols]
+        elif fault == "oversized":
+            row[column] = "1" * 140_000
+        elif fault == "blank_line":
+            row = []
+        line = ",".join(row).encode()
+        if fault == "undecodable":
+            at = draw(st.integers(0, len(line)))
+            bad = draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3("]))
+            line = line[:at] + bad + line[at:]
+        rows.append(row)
+        if fault == "out_of_order":  # before the row above it
+            lines.insert(max(len(lines) - 1, 0), line)
+        else:
+            lines.append(line)
+    if draw(st.integers(0, 9)) == 9:
+        header = draw(st.sampled_from(["", "ticker,date", header + ",extra"]))
+    return b"".join(line + b"\n" for line in [header.encode(), *lines])
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_other_schemas_parse_or_name_the_faulty_line(schema, data):
+    content = data.draw(schema_files(schema))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{schema}.csv"
+        path.write_bytes(content)
+        try:
+            SCHEMAS[schema][0](path)
+        except DataError as exc:
+            message = str(exc)
+            named = re.match(r"line (\d+): ", message)
+            if named is None:
+                assert message.startswith(f"{path}: "), message
+            else:
+                assert 1 <= int(named.group(1)) <= content.count(b"\n"), message
 
 
 def test_parse_bars_peak_memory_per_bar(tmp_path):

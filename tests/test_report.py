@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import math
 import random
 
 import pytest
@@ -12,9 +13,11 @@ from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, NoSamplesError
 from splitstudy.models import SplitEvent, group_by_ticker
 from splitstudy.report import (
+    HYPOTHESES,
     VOLUME_BASES,
     RunConfig,
     RunParams,
+    _encode,
     _sample_dict,
     analyze_universe,
     available_selectors,
@@ -173,6 +176,76 @@ def test_json_is_strict(demo_report):
     report = dataclasses.replace(demo_report, aggregate={"mean": float("nan")})
     with pytest.raises(ValueError, match="JSON compliant"):
         report.to_json()
+    # A non-finite value inside an [offset, value] series, which is encoded
+    # compactly before it is indented.
+    sample = dataclasses.replace(
+        demo_report.samples[0], volume_series=[(0, 1), (1, float("inf"))]
+    )
+    report = dataclasses.replace(demo_report, samples=[sample])
+    with pytest.raises(ValueError, match="JSON compliant"):
+        report.to_json()
+
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+def json_values(floats):
+    """Nested report-like values: series of number lists among other shapes."""
+    numbers = st.integers(-(10**20), 10**20) | floats
+    text = st.text(
+        st.sampled_from('a"[]{},:\n\\é€\x00') | st.characters(), max_size=6
+    )
+    scalars = st.none() | st.booleans() | numbers | text
+    series = st.lists(
+        st.lists(numbers | st.booleans() | st.none(), max_size=3), max_size=4
+    )
+    labelled = st.lists(st.lists(numbers | text | st.just({}), max_size=3), max_size=4)
+    mixed = st.lists(
+        numbers | st.lists(numbers, max_size=3) | st.tuples(numbers, numbers),
+        max_size=4,
+    )
+    keys = st.text(max_size=4) | st.integers(-5, 5) | floats | st.booleans() | st.none()
+    return st.recursive(
+        scalars | series | labelled | mixed,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(keys, children, max_size=4),
+        max_leaves=30,
+    )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 1e-07, 1e16, 0.1]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values(FINITE))
+def test_encode_matches_stdlib_indent(value):
+    assert _encode(value, 0) == _stdlib(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values(FINITE | st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_encode_rejects_what_stdlib_rejects(value):
+    try:
+        expected = _stdlib(value)
+    except ValueError:
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _encode(value, 0)
+    else:
+        assert _encode(value, 0) == expected
+
+
+@pytest.mark.parametrize("hypothesis", HYPOTHESES)
+def test_demo_to_json_is_stdlib_indent(hypothesis, tmp_path):
+    for seed in range(10):
+        config = RunConfig(
+            out=str(tmp_path), seed=seed, params=RunParams(hypothesis=hypothesis)
+        )
+        report = run_pipeline(config)
+        assert report.to_json() == _stdlib(report.to_dict()) + "\n"
 
 
 def test_report_is_deterministic(demo_paths, tmp_path):
