@@ -48,9 +48,13 @@ def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[
                     f"{path}: header {','.join(first)!r} does not match expected "
                     f"{','.join(header)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            # A row is numbered by the physical line it starts on, so a
+            # quoted field spanning lines does not shift later numbers.
+            lineno = reader.line_num + 1
+            for row in reader:
                 if row:
                     yield lineno, row
+                lineno = reader.line_num + 1
         except csv.Error as exc:
             raise DataError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:

@@ -224,8 +224,10 @@ def _encode(o: Any, level: int) -> str:
     ``[offset, value]`` lists are encoded compactly in C here and indented
     by text replacement. That is exact because JSON text holds no raw
     newline: a subtree at depth L is its depth-0 text with 2*L spaces after
-    each newline. Everything else (other types and subclasses, non-str
-    keys, non-finite floats, empty containers) goes to stdlib itself, so
+    each newline. Empty lists and dicts are written inline, as indent=2
+    writes them; calling stdlib for each would build an encoder whose
+    closures form a reference cycle. Everything else (other types and
+    subclasses, non-str keys, non-finite floats) goes to stdlib itself, so
     its coercions and errors are kept.
     """
     t = type(o)
@@ -239,9 +241,13 @@ def _encode(o: Any, level: int) -> str:
         return "null"
     if t is bool:
         return "true" if o else "false"
+    if t is list and not o:
+        return "[]"
+    if t is dict and not o:
+        return "{}"
     outer = "\n" + "  " * level
     inner = outer + "  "
-    if t is list and o:
+    if t is list:
         if all(type(e) is list for e in o):
             text = _compact(o)
             # No string (so no non-empty dict) and no empty or nested inner
@@ -262,7 +268,7 @@ def _encode(o: Any, level: int) -> str:
                 return "[" + inner + body + outer + "]"
         items = [_encode(e, level + 1) for e in o]
         return "[" + inner + ("," + inner).join(items) + outer + "]"
-    if t is dict and o and all(type(k) is str for k in o):
+    if t is dict and all(type(k) is str for k in o):
         items = [
             encode_basestring_ascii(k) + ": " + _encode(v, level + 1)
             for k, v in o.items()

@@ -15,10 +15,9 @@ denominator is the variance of the stock's own returns in both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CoverageError, DataError
 from .models import EventWindow, ReferenceRateSeries
@@ -72,24 +71,71 @@ class AbnormalReturn:
     baseline: str = FULL_PERIOD
 
 
+def pairwise_sum(values: Sequence[float]) -> float:
+    """Sum of ``values`` with the bits of NumPy's float64 ``add.reduce``.
+
+    Mirrors ``pairwise_sum`` in NumPy's
+    ``numpy/_core/src/umath/loops_utils.h.src``: fewer than 8 values are
+    added in a plain loop from -0.0; up to 128 go to eight accumulators
+    seeded with the first eight values and stepped 8 at a time, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the n mod 8 leftovers are
+    added in order; longer runs split at ``n//2 - (n//2) % 8`` and recurse.
+    The reduction starts from its identity 0.0, so ``[]`` and ``[-0.0]``
+    both sum to 0.0. Every addition is float, so ints are rounded to float
+    first, as NumPy's cast does. ``math.fsum``, ``statistics.fmean`` and
+    builtin ``sum`` round differently and must not replace it.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(a: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        res = -0.0
+        for x in a[lo : lo + n]:
+            res += x
+        return res
+    if n <= 128:
+        # -0.0 + x is x for every float, and makes an int a float first.
+        r0, r1, r2, r3, r4, r5, r6, r7 = [-0.0 + x for x in a[lo : lo + 8]]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in a[end : lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(a, lo, n2) + _pairwise(a, lo + n2, n - n2)
+
+
 def pct_change_series(values: Sequence[float]) -> list[float]:
     """Period-to-period simple returns; output is one shorter than input."""
     if len(values) < 2:
         raise DataError("need at least 2 values for a return series")
-    arr = np.asarray(values, dtype=np.float64)
-    if np.any(arr[:-1] == 0.0):
+    arr = list(map(float, values))
+    if 0.0 in arr[:-1]:
         raise DataError("zero value in series; percent change undefined")
-    return (np.diff(arr) / arr[:-1]).tolist()
+    return [(b - a) / a for a, b in zip(arr, arr[1:])]
 
 
 def variance(xs: Sequence[float]) -> float:
     """Population variance (divide by n); exactly 0 for a constant series."""
     if len(xs) < 2:
         raise DataError("variance needs at least 2 observations")
-    arr = np.asarray(xs, dtype=np.float64)
-    if float(arr.min()) == float(arr.max()):
+    arr = list(map(float, xs))
+    if min(arr) == max(arr):
         return 0.0
-    return float(np.var(arr))
+    n = len(arr)
+    m = pairwise_sum(arr) / n
+    return pairwise_sum([(x - m) * (x - m) for x in arr]) / n
 
 
 def covariance(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -98,9 +144,12 @@ def covariance(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise DataError("covariance needs at least 2 observations")
-    a = np.asarray(xs, dtype=np.float64)
-    b = np.asarray(ys, dtype=np.float64)
-    return float(np.mean((a - a.mean()) * (b - b.mean())))
+    a = list(map(float, xs))
+    b = list(map(float, ys))
+    n = len(a)
+    ma = pairwise_sum(a) / n
+    mb = pairwise_sum(b) / n
+    return pairwise_sum([(x - ma) * (y - mb) for x, y in zip(a, b)]) / n
 
 
 def beta(
@@ -130,7 +179,7 @@ def beta(
         var_ref = variance(reference_returns)
         if var_ref == 0.0:
             raise DataError("reference return variance is zero; correlation undefined")
-        corr = cov / float(np.sqrt(var_ref * var_stock))
+        corr = cov / math.sqrt(var_ref * var_stock)
         value = corr / var_stock
     return BetaEstimate(beta=value, variant=variant, n_obs=n)
 

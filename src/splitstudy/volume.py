@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DataError
 from .models import EventWindow
+from .returns import pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,16 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise DataError(f"need at least 2 points for a fit, got {len(xs)}")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    sxx = float(((x - x_mean) ** 2).sum())
+    x = list(map(float, xs))
+    y = list(map(float, ys))
+    n = len(x)
+    x_mean = pairwise_sum(x) / n
+    y_mean = pairwise_sum(y) / n
+    dx = [v - x_mean for v in x]
+    sxx = pairwise_sum([d * d for d in dx])
     if sxx == 0.0:
         raise DataError("zero variance in x; slope undefined")
-    slope = float(((x - x_mean) * (y - y_mean)).sum()) / sxx
+    slope = pairwise_sum([d * (v - y_mean) for d, v in zip(dx, y)]) / sxx
     return slope, y_mean - slope * x_mean
 
 

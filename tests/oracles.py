@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the engine against.
 
 They deliberately share no code with the engine's modules: plain Python
-loops, raw normal equations, two-pass moments, and the field-by-field bars
-parser that ``ingest.parse_bars`` must agree with.
+loops, raw normal equations, two-pass moments, the field-by-field bars
+parser that ``ingest.parse_bars`` must agree with, and the NumPy versions of
+the engine's float reductions, whose bits the plain-Python engine must
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import datetime
 import math
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from splitstudy.errors import DataError
 from splitstudy.models import TradingBar
@@ -73,6 +77,75 @@ def oracle_ols(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     return slope, intercept
 
 
+# The engine's reductions as they were written with NumPy: same checks, same
+# error texts, float64 arithmetic.
+
+
+def numpy_pct_change_series(values: Sequence[float]) -> list[float]:
+    if len(values) < 2:
+        raise DataError("need at least 2 values for a return series")
+    arr = np.asarray(values, dtype=np.float64)
+    if np.any(arr[:-1] == 0.0):
+        raise DataError("zero value in series; percent change undefined")
+    return (np.diff(arr) / arr[:-1]).tolist()
+
+
+def numpy_variance(xs: Sequence[float]) -> float:
+    if len(xs) < 2:
+        raise DataError("variance needs at least 2 observations")
+    arr = np.asarray(xs, dtype=np.float64)
+    if float(arr.min()) == float(arr.max()):
+        return 0.0
+    return float(np.var(arr))
+
+
+def numpy_covariance(xs: Sequence[float], ys: Sequence[float]) -> float:
+    if len(xs) != len(ys):
+        raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
+        raise DataError("covariance needs at least 2 observations")
+    a = np.asarray(xs, dtype=np.float64)
+    b = np.asarray(ys, dtype=np.float64)
+    return float(np.mean((a - a.mean()) * (b - b.mean())))
+
+
+def numpy_beta(
+    stock_returns: Sequence[float], reference_returns: Sequence[float], variant: str
+) -> float:
+    """``returns.beta(...).beta``; ``variant`` is "covariance" or "correlation"."""
+    if len(stock_returns) != len(reference_returns):
+        raise DataError(
+            f"length mismatch: {len(stock_returns)} vs {len(reference_returns)}"
+        )
+    var_stock = numpy_variance(stock_returns)
+    if var_stock == 0.0:
+        raise DataError("stock return variance is zero; beta undefined")
+    cov = numpy_covariance(reference_returns, stock_returns)
+    if variant == "covariance":
+        return cov / var_stock
+    var_ref = numpy_variance(reference_returns)
+    if var_ref == 0.0:
+        raise DataError("reference return variance is zero; correlation undefined")
+    corr = cov / float(np.sqrt(var_ref * var_stock))
+    return corr / var_stock
+
+
+def numpy_ols_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    if len(xs) != len(ys):
+        raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
+        raise DataError(f"need at least 2 points for a fit, got {len(xs)}")
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    x_mean = float(x.mean())
+    y_mean = float(y.mean())
+    sxx = float(((x - x_mean) ** 2).sum())
+    if sxx == 0.0:
+        raise DataError("zero variance in x; slope undefined")
+    slope = float(((x - x_mean) * (y - y_mean)).sum()) / sxx
+    return slope, y_mean - slope * x_mean
+
+
 def _check_bar(fields: dict) -> None:
     """Bar invariants in their reporting order, one comparison at a time."""
     for name in ("open", "high", "low", "close", "adj_close"):
@@ -114,7 +187,12 @@ def parse_bars_per_field(path: str | Path) -> list[TradingBar]:
                 f"{path}: header {','.join(first)!r} does not match expected "
                 f"{','.join(BARS_HEADER)!r}"
             )
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+        rows = []
+        lineno = reader.line_num + 1  # the physical line the row starts on
+        for row in reader:
+            if row:
+                rows.append((lineno, row))
+            lineno = reader.line_num + 1
 
     def number(convert, text, lineno, name, hint=""):
         try:

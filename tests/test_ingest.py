@@ -114,6 +114,34 @@ def test_parse_bars_reports_bad_number_with_one_line_prefix(tmp_path):
     assert str(exc_info.value) == "line 2: bad open 'x'"
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_splits,
+            'ticker,effective_date,ratio\n"A\nB",2014-01-02,2\nX,2014-01-03,zz\n',
+            "line 4: bad ratio 'zz'",
+        ),
+        (
+            parse_bars,
+            "ticker,date,open,high,low,close,adj_close,volume\n"
+            '"A\nB",2013-06-03,10,11,9,10.5,10.5,1000\n'
+            "\n"
+            "X,2013-06-03,x,11,9,10.5,10.5,1000\n",
+            "line 5: bad open 'x'",
+        ),
+    ],
+    ids=["splits", "bars"],
+)
+def test_rows_numbered_by_physical_line(tmp_path, parse, text, message):
+    # A quoted field spanning lines 2-3 (and, for bars, the blank line 4)
+    # must not shift the number of the faulty row below it.
+    path = _write(tmp_path, "input.csv", text)
+    with pytest.raises(DataError) as exc_info:
+        parse(path)
+    assert str(exc_info.value) == message
+
+
 def _cli_exit_code(monkeypatch, bars, tmp_path):
     splits = _write(
         tmp_path, "splits.csv", "ticker,effective_date,ratio\nX,2013-06-04,2\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import json
 import math
 import random
@@ -334,6 +335,20 @@ def test_synthetic_mode_generates_inputs(tmp_path):
     for name in ("bars", "splits", "fundamentals", "rates"):
         assert (tmp_path / "inputs" / f"{name}.csv").exists()
         assert report.inputs[name]["sha256"]
+
+
+def test_run_leaves_no_garbage_cycles(tmp_path):
+    # Objects in reference cycles outlive the run until a full collection;
+    # a run and its emit should free everything by reference counting.
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_pipeline(RunConfig(out=str(tmp_path), seed=0))
+        emit(report, tmp_path)
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_demo_universe_deterministic():
