@@ -12,11 +12,11 @@ its own ticker's events only, taken in their input order.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from array import array
 from typing import Sequence
 
 from .errors import DataError
-from .models import SplitEvent, TradingBar, group_by_ticker
+from .models import PRICE_COLUMNS, BarTable, SplitEvent, group_by_ticker
 
 PRICES = "prices"
 PRICES_AND_VOLUME = "prices_and_volume"
@@ -32,36 +32,34 @@ def cumulative_factor(date, events: Sequence[SplitEvent]) -> float:
 
 
 def split_adjust(
-    bars: Sequence[TradingBar],
+    bars: BarTable,
     events: Sequence[SplitEvent],
     mode: str = PRICES,
-) -> list[TradingBar]:
+) -> BarTable:
     """Return bars with prices (and optionally volumes) put on a post-split basis.
 
-    Events apply only to bars of their own ticker. ``mode`` is ``"prices"``
-    or ``"prices_and_volume"``.
+    The result is a table with columns of its own. Events apply only to
+    bars of their own ticker. ``mode`` is ``"prices"`` or
+    ``"prices_and_volume"``.
     """
     if mode not in (PRICES, PRICES_AND_VOLUME):
         raise DataError(f"unknown adjustment mode {mode!r}")
     events_by_ticker = group_by_ticker(events)
-    adjusted: list[TradingBar] = []
-    for bar in bars:
-        factor = cumulative_factor(bar.date, events_by_ticker.get(bar.ticker, ()))
-        if factor == 1.0:
-            adjusted.append(bar)
-            continue
-        volume = bar.volume
-        if mode == PRICES_AND_VOLUME:
-            volume = round(bar.volume * factor)
-        adjusted.append(
-            replace(
-                bar,
-                open=bar.open / factor,
-                high=bar.high / factor,
-                low=bar.low / factor,
-                close=bar.close / factor,
-                adj_close=bar.adj_close / factor,
-                volume=volume,
-            )
-        )
-    return adjusted
+    factors = [
+        cumulative_factor(date, events_by_ticker.get(ticker, ()))
+        for ticker, rows in bars.ranges.items()
+        for date in bars.dates[rows.start : rows.stop]
+    ]
+    # Dividing by a factor of 1 leaves a price as it is.
+    prices = [
+        array("d", [price / f for price, f in zip(getattr(bars, name), factors)])
+        for name in PRICE_COLUMNS
+    ]
+    volumes = bars.volume
+    if mode == PRICES_AND_VOLUME:
+        scaled = [v if f == 1.0 else round(v * f) for v, f in zip(volumes, factors)]
+        try:
+            volumes = array("q", scaled)
+        except OverflowError:
+            raise DataError("a split-adjusted volume exceeds the int64 range") from None
+    return BarTable(bars.dates, prices, volumes, bars.ranges)

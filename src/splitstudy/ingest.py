@@ -7,9 +7,10 @@ All files are UTF-8, comma-separated, header required:
     fundamentals.csv: ticker,fiscal_year,net_profit,shareholders_equity
     rates.csv:        date,rate
 
-Dates are ISO-8601 (YYYY-MM-DD). Numbers must be finite. Parse errors
-always carry the offending line number. Parsing then writing any valid file
-is lossless field-wise.
+Dates are ISO-8601 (YYYY-MM-DD). Numbers must be finite, a volume must fit
+a signed 64-bit integer, and a ticker may hold no control character. Parse
+errors always carry the offending line number. Parsing then writing any
+valid file is lossless field-wise.
 """
 
 from __future__ import annotations
@@ -17,20 +18,39 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import re
 import sys
+from array import array
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import DataError
-from .models import FundamentalRecord, ReferenceRateSeries, SplitEvent, TradingBar
+from .models import (
+    PRICE_COLUMNS,
+    BarTable,
+    FundamentalRecord,
+    ReferenceRateSeries,
+    SplitEvent,
+    TradingBar,
+    bar_ok,
+)
 
 BARS_HEADER = ["ticker", "date", "open", "high", "low", "close", "adj_close", "volume"]
 SPLITS_HEADER = ["ticker", "effective_date", "ratio"]
 FUNDAMENTALS_HEADER = ["ticker", "fiscal_year", "net_profit", "shareholders_equity"]
 RATES_HEADER = ["date", "rate"]
+# C0 and C1 control characters, DEL included.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
-def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+@contextmanager
+def _csv_reader(path: str | Path, header: list[str]) -> Iterator[Any]:
+    """A csv reader of ``path`` positioned past its checked header.
+
+    A csv or decoding fault met inside the ``with`` block is raised as a
+    DataError that names its line.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
@@ -48,17 +68,29 @@ def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[
                     f"{path}: header {','.join(first)!r} does not match expected "
                     f"{','.join(header)!r}"
                 )
-            # A row is numbered by the physical line it starts on, so a
-            # quoted field spanning lines does not shift later numbers.
-            lineno = reader.line_num + 1
-            for row in reader:
-                if row:
-                    yield lineno, row
-                lineno = reader.line_num + 1
+            yield reader
         except csv.Error as exc:
             raise DataError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise DataError(_undecodable_line(path)) from None
+
+
+def _numbered(reader: Any) -> Iterator[tuple[int, list[str]]]:
+    """The reader's remaining non-blank rows, each with its line number.
+
+    A row is numbered by the physical line it starts on, so a quoted field
+    spanning lines does not shift later numbers.
+    """
+    lineno = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield lineno, row
+        lineno = reader.line_num + 1
+
+
+def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    with _csv_reader(path, header) as reader:
+        yield from _numbered(reader)
 
 
 def _undecodable_line(path: Path) -> str:
@@ -98,66 +130,110 @@ def _parse_int(text: str, lineno: int, name: str) -> int:
         raise DataError(f"line {lineno}: bad {name} {text!r} (expected integer)")
 
 
-def parse_bars(path: str | Path) -> list[TradingBar]:
-    """Read bars.csv into validated bars sorted by (ticker, date).
+def _ticker(text: str, lineno: int) -> str:
+    """A ticker field without its outer whitespace; raises if it is empty or
+    holds a control character, which would end up in sample ids and CSVs."""
+    ticker = text.strip()
+    if not ticker:
+        raise DataError(f"line {lineno}: empty ticker")
+    if _CONTROL.search(ticker):
+        raise DataError(f"line {lineno}: control character in ticker {ticker!r}")
+    return ticker
 
-    Each row is converted and checked by ``TradingBar`` in one step. A row
-    that fails, lacks a ticker or repeats a (ticker, date) key is parsed
-    again by ``_parse_bar_row``, which raises for its first fault in field
-    order. Bars share one ticker string and one date object per distinct
-    value.
+
+def parse_bars(path: str | Path) -> BarTable:
+    """Read bars.csv into a validated BarTable, rows sorted by (ticker, date).
+
+    Each row is converted, checked by ``bar_ok`` and appended to the
+    columns; a ticker text is checked once. A row that fails, or repeats a
+    (ticker, date) key, is parsed again by ``_parse_bar_row``, which raises
+    for its first fault in field order. While keys strictly increase none
+    can repeat, so the keys read are collected only once a row leaves that
+    order; the rows are then sorted at the end.
     """
-    bars: list[TradingBar] = []
-    dates: dict[str, datetime.date] = {}
-    # While keys strictly increase none can repeat, so the set of keys seen
-    # is built only once a row leaves that order; the bars are then sorted.
+    dates: list[datetime.date] = []
+    prices = [array("d") for _ in PRICE_COLUMNS]
+    volumes = array("q")
+    runs: list[tuple[str, int]] = []  # (ticker, first row) of each run of a ticker
+
+    def spans() -> list[tuple[str, int, int]]:
+        stops = [start for _, start in runs[1:]] + [len(dates)]
+        return [(t, start, stop) for (t, start), stop in zip(runs, stops)]
+
+    def tickers() -> list[str]:  # the ticker of each row
+        return [t for t, start, stop in spans() for _ in range(start, stop)]
+
+    add_date = dates.append
+    add_open, add_high, add_low, add_close, add_adj_close = (p.append for p in prices)
+    add_volume = volumes.append
+    names: dict[str, str] = {}
+    days: dict[str, datetime.date] = {}
     seen: set[tuple[str, datetime.date]] | None = None
-    last = ("", datetime.date.min)
-    for lineno, row in _read_rows(path, BARS_HEADER):
-        try:
-            ticker, day, open_, high, low, close, adj_close, volume = row
-            date = dates.get(day)
-            if date is None:
-                date = dates[day] = datetime.date.fromisoformat(day.strip())
-            bar = TradingBar(
-                sys.intern(ticker.strip()),
-                date,
-                float(open_),
-                float(high),
-                float(low),
-                float(close),
-                float(adj_close),
-                int(volume),
-            )
-            key = (bar.ticker, date)
-        except ValueError:  # DataError included
-            key = None
-        if seen is None and key is not None and key[0] and key > last:
-            last = key
-        else:
-            if seen is None:
-                seen = {(b.ticker, b.date) for b in bars}
-            if key is None or not key[0] or key in seen:
-                bar = _parse_bar_row(lineno, row, seen)
-                key = (bar.ticker, bar.date)
-            seen.add(key)
-        bars.append(bar)
-    if seen is not None:
-        bars.sort(key=lambda b: (b.ticker, b.date))
-    return bars
+    ticker, last = "", datetime.date.min
+    with _csv_reader(path, BARS_HEADER) as reader:
+        end = reader.line_num  # the last line read before the current row
+        for row in reader:
+            try:
+                text, day, open_, high, low, close, adj_close, volume = row
+                name = names.get(text)
+                if name is None:
+                    name = names[text] = sys.intern(_ticker(text, end + 1))
+                date = days.get(day)
+                if date is None:
+                    date = days[day] = datetime.date.fromisoformat(day.strip())
+                open_ = float(open_)
+                high = float(high)
+                low = float(low)
+                close = float(close)
+                adj_close = float(adj_close)
+                volume = int(volume)
+                ok = bar_ok(open_, high, low, close, adj_close, volume)
+            except ValueError:  # DataError included
+                ok = False
+            if not (
+                ok and seen is None and (date > last if name is ticker else name > ticker)
+            ):
+                if not row:  # a blank line
+                    end = reader.line_num
+                    continue
+                if seen is None:
+                    seen = set(zip(tickers(), dates))
+                if not ok or (name, date) in seen:
+                    _parse_bar_row(end + 1, row, seen)  # raises for the row's fault
+                seen.add((name, date))
+            end = reader.line_num
+            if name is not ticker:
+                ticker = name
+                runs.append((name, len(dates)))
+            last = date
+            add_date(date)
+            add_open(open_)
+            add_high(high)
+            add_low(low)
+            add_close(close)
+            add_adj_close(adj_close)
+            add_volume(volume)
+    if seen is not None:  # some row left (ticker, date) order: sort the rows
+        keys = list(zip(tickers(), dates))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[i] for i in order]
+        dates = [date for _, date in keys]
+        prices = [array("d", [column[i] for i in order]) for column in prices]
+        volumes = array("q", [volumes[i] for i in order])
+        runs = [(t, i) for i, (t, _) in enumerate(keys) if not i or keys[i - 1][0] != t]
+    ranges = {t: range(start, stop) for t, start, stop in spans()}
+    return BarTable(dates, prices, volumes, ranges)
 
 
 def _parse_bar_row(
     lineno: int, row: list[str], seen: set[tuple[str, datetime.date]]
-) -> TradingBar:
+) -> None:
     """One bars.csv row checked field by field; raises for its first fault."""
     if len(row) != len(BARS_HEADER):
         raise DataError(
             f"line {lineno}: expected {len(BARS_HEADER)} fields, got {len(row)}"
         )
-    ticker = row[0].strip()
-    if not ticker:
-        raise DataError(f"line {lineno}: empty ticker")
+    ticker = _ticker(row[0], lineno)
     date = _parse_date(row[1], lineno)
     if (ticker, date) in seen:
         raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
@@ -167,7 +243,7 @@ def _parse_bar_row(
     ]
     volume = _parse_int(row[7], lineno, "volume")
     try:
-        return TradingBar(ticker, date, *prices, volume)
+        TradingBar(ticker, date, *prices, volume)
     except DataError as exc:
         raise DataError(f"line {lineno}: {exc}") from None
 
@@ -181,9 +257,7 @@ def parse_splits(path: str | Path) -> list[SplitEvent]:
             raise DataError(
                 f"line {lineno}: expected {len(SPLITS_HEADER)} fields, got {len(row)}"
             )
-        ticker = row[0].strip()
-        if not ticker:
-            raise DataError(f"line {lineno}: empty ticker")
+        ticker = _ticker(row[0], lineno)
         date = _parse_date(row[1], lineno)
         ratio = _parse_float(row[2], lineno, "ratio")
         if not ratio > 0:
@@ -210,9 +284,7 @@ def parse_fundamentals(path: str | Path) -> list[FundamentalRecord]:
                 f"line {lineno}: expected {len(FUNDAMENTALS_HEADER)} fields, "
                 f"got {len(row)}"
             )
-        ticker = row[0].strip()
-        if not ticker:
-            raise DataError(f"line {lineno}: empty ticker")
+        ticker = _ticker(row[0], lineno)
         year = _parse_int(row[1], lineno, "fiscal_year")
         key = (ticker, year)
         if key in seen:

@@ -8,14 +8,29 @@ from __future__ import annotations
 
 import datetime
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
 
 _T = TypeVar("_T")
+
+INT64_MAX = 2**63 - 1
+PRICE_COLUMNS = ("open", "high", "low", "close", "adj_close")
+
+
+def bar_ok(open_, high, low, close, adj_close, volume) -> bool:
+    """Whether a bar's values pass every check of ``TradingBar``, in one
+    chain (a NaN fails every comparison), so a valid bar costs one test."""
+    return (
+        0 < low <= open_ <= high < math.inf
+        and low <= close <= high
+        and 0 < adj_close < math.inf
+        and 0 <= volume <= INT64_MAX
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,6 +39,7 @@ class TradingBar:
 
     Prices are finite and in quote currency; ``adj_close`` is the feed's
     split-adjusted close and may sit outside the day's raw high/low range.
+    The volume fits a signed 64-bit integer.
     """
 
     ticker: str
@@ -36,35 +52,76 @@ class TradingBar:
     volume: int
 
     def __post_init__(self) -> None:
-        # One chain that holds exactly when every check below passes (a NaN
-        # fails every comparison), so a valid bar costs a single test.
-        if (
-            0 < self.low <= self.open <= self.high < math.inf
-            and self.low <= self.close <= self.high
-            and 0 < self.adj_close < math.inf
-            and self.volume >= 0
-        ):
+        low, high, body = self.low, self.high, (self.open, self.close)
+        if bar_ok(self.open, high, low, self.close, self.adj_close, self.volume):
             return
-        for name in ("open", "high", "low", "close", "adj_close"):
+        for name in PRICE_COLUMNS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DataError(f"{name} ({value}) must be finite")
             if not value > 0:
                 raise DataError(f"{name} ({value}) must be > 0")
-        if self.low > self.high:
-            raise DataError(f"low ({self.low}) must be <= high ({self.high})")
-        if self.low > min(self.open, self.close):
-            raise DataError(
-                f"low ({self.low}) must be <= min(open, close) "
-                f"({min(self.open, self.close)})"
-            )
-        if self.high < max(self.open, self.close):
-            raise DataError(
-                f"high ({self.high}) must be >= max(open, close) "
-                f"({max(self.open, self.close)})"
-            )
+        if low > high:
+            raise DataError(f"low ({low}) must be <= high ({high})")
+        if low > min(body):
+            raise DataError(f"low ({low}) must be <= min(open, close) ({min(body)})")
+        if high < max(body):
+            raise DataError(f"high ({high}) must be >= max(open, close) ({max(body)})")
         if self.volume < 0:
             raise DataError(f"volume ({self.volume}) must be >= 0")
+        raise DataError(f"volume ({self.volume}) must be <= {INT64_MAX}")
+
+
+class BarTable:
+    """Bars as columns: a ``dates`` list, an ``array('d')`` per price and an
+    ``array('q')`` of volumes, rows in (ticker, date) order with no repeated
+    key; ``ranges`` maps each ticker to its rows. It iterates as
+    ``TradingBar``s; a slice or a ticker's series has columns of its own."""
+
+    __slots__ = ("dates", *PRICE_COLUMNS, "volume", "ranges")
+
+    def __init__(self, dates, prices, volume, ranges: dict[str, range]) -> None:
+        self.dates, self.volume, self.ranges = dates, volume, ranges
+        self.open, self.high, self.low, self.close, self.adj_close = prices
+
+    @classmethod
+    def from_bars(cls, bars: Iterable[TradingBar]) -> BarTable:
+        """The table of ``bars`` given in any order; a repeated key is a DataError."""
+        rows = sorted(bars, key=lambda b: (b.ticker, b.date))
+        starts: dict[str, int] = {}
+        for i, bar in enumerate(rows):
+            if starts.setdefault(bar.ticker, i) < i and rows[i - 1].date == bar.date:
+                raise DataError(f"duplicate bar for {bar.ticker} on {bar.date}")
+        bounds = [*starts.values(), len(rows)]
+        return cls(
+            [b.date for b in rows],
+            [array("d", [getattr(b, name) for b in rows]) for name in PRICE_COLUMNS],
+            array("q", [b.volume for b in rows]),
+            {t: range(a, b) for t, a, b in zip(starts, bounds, bounds[1:])},
+        )
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __iter__(self) -> Iterator[TradingBar]:
+        tickers = (t for t, rows in self.ranges.items() for _ in rows)
+        prices = (getattr(self, name) for name in PRICE_COLUMNS)
+        return map(TradingBar, tickers, self.dates, *prices, self.volume)
+
+    def __getitem__(self, rows: slice) -> BarTable:
+        start, stop, _ = rows.indices(len(self))
+        ranges = {
+            t: range(max(r.start, start) - start, min(r.stop, stop) - start)
+            for t, r in self.ranges.items()
+            if r.start < stop and r.stop > start
+        }
+        prices = [getattr(self, name)[start:stop] for name in PRICE_COLUMNS]
+        return BarTable(self.dates[start:stop], prices, self.volume[start:stop], ranges)
+
+    def series(self, ticker: str) -> BarTable:
+        """One ticker's rows; empty when the table holds none of them."""
+        rows = self.ranges.get(ticker, range(0))
+        return self[rows.start : rows.stop]
 
 
 @dataclass(frozen=True)
@@ -134,69 +191,49 @@ class ReferenceRateSeries:
 
 @dataclass(frozen=True)
 class EventWindow:
-    """Bars re-indexed to trading-day offsets around a split (day 0).
+    """One ticker's bars numbered by trading-day offsets around a split.
 
-    Offsets count data rows, not calendar days. Offset 0 is the bar on, or
-    the first trading day after, the split's effective date. ``span`` is
-    the requested offset range; missing offsets can only occur where the
-    underlying series ran out of rows, so ``coverage`` is the fraction of
-    the requested range actually present.
+    Offsets count data rows, not calendar days; offset 0 is the bar on, or
+    the first trading day after, the effective date. ``align_to_event``
+    gives a ``range`` of offsets, short of the requested ``span`` only where
+    the series ran out of rows; ``coverage`` is the fraction present.
     """
 
     event: SplitEvent
-    bars: tuple[TradingBar, ...]
-    offsets: tuple[int, ...]
+    bars: BarTable
+    offsets: Sequence[int]
     coverage: float
     span: tuple[int, int] = field(default=(0, 0))
 
     def __post_init__(self) -> None:
         if len(self.bars) != len(self.offsets):
             raise DataError("bars and offsets must have equal length")
-        if not self.bars:
-            raise DataError("event window has no bars")
-        for prev, cur in zip(self.offsets, self.offsets[1:]):
-            if cur <= prev:
-                raise DataError("offsets must be strictly increasing")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise DataError("bar dates must be strictly increasing")
-        if 0 not in self.offsets:
-            raise DataError("event window must contain offset 0")
-        anchor = self.bars[self.offsets.index(0)]
-        if anchor.date < self.event.effective_date:
-            raise DataError("offset-0 bar predates the effective date")
-        for bar, offset in zip(self.bars, self.offsets):
-            if offset < 0 and bar.date >= self.event.effective_date:
-                raise DataError(
-                    "offset-0 bar must be the earliest bar on/after the "
-                    "effective date"
-                )
+        if len(self.bars.ranges) != 1:
+            raise DataError("an event window holds the bars of one ticker")
+        if any(cur <= prev for prev, cur in zip(self.offsets, self.offsets[1:])):
+            raise DataError("offsets must be strictly increasing")
+        anchor = bisect_left(self.bars.dates, self.event.effective_date)
+        if anchor == len(self.offsets) or self.offsets[anchor] != 0:
+            raise DataError("offset 0 must be the first bar on/after the effective date")
         if not 0.0 <= self.coverage <= 1.0:
             raise DataError(f"coverage ({self.coverage}) must be in [0, 1]")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.offsets)
 
-    @cached_property
-    def _by_offset(self) -> dict[int, TradingBar]:
-        return dict(zip(self.offsets, self.bars))
+    def between(self, lo: int, hi: int) -> tuple[Sequence[int], BarTable]:
+        """The present offsets in [lo, hi] and their bars."""
+        start, stop = bisect_left(self.offsets, lo), bisect_right(self.offsets, hi)
+        return self.offsets[start:stop], self.bars[start:stop]
 
     def bar_at(self, offset: int) -> TradingBar | None:
-        return self._by_offset.get(offset)
-
-    def bars_between(self, lo: int, hi: int) -> list[tuple[int, TradingBar]]:
-        """Present (offset, bar) pairs with lo <= offset <= hi."""
-        start = bisect_left(self.offsets, lo)
-        stop = bisect_right(self.offsets, hi)
-        return [
-            (self.offsets[i], self.bars[i]) for i in range(start, stop)
-        ]
+        return next(iter(self.between(offset, offset)[1]), None)
 
     def coverage_between(self, lo: int, hi: int) -> float:
         """Fraction of offsets in [lo, hi] actually present."""
         if hi < lo:
             raise DataError(f"empty offset range [{lo}, {hi}]")
-        return len(self.bars_between(lo, hi)) / (hi - lo + 1)
+        return len(self.between(lo, hi)[0]) / (hi - lo + 1)
 
 
 def group_by_ticker(rows: Iterable[_T]) -> dict[str, list[_T]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DataError
-from .models import EventWindow, TradingBar
+from .models import EventWindow
 
 GROUP_1 = (-91, -31)
 GROUP_2 = (-30, 30)
@@ -62,7 +62,7 @@ class GapSeries:
     """Per-offset high-low gaps over a range, with before/after mean summary.
 
     Day 0 is excluded from both summary means, mirroring the volume
-    comparison convention.
+    comparison convention. A gap is never negative: every bar has low <= high.
     """
 
     offsets: tuple[int, ...]
@@ -71,35 +71,20 @@ class GapSeries:
     mean_gap_before: float | None
     mean_gap_after: float | None
 
-    def __post_init__(self) -> None:
-        for gap in self.gaps:
-            if gap < 0:
-                raise DataError(f"negative price gap {gap}")
-
-
-def _price(bar: TradingBar, price_field: str) -> float:
-    if price_field == ADJ_CLOSE:
-        return bar.adj_close
-    if price_field == CLOSE:
-        return bar.close
-    raise DataError(f"unknown price field {price_field!r}")
-
 
 def period_averages(
     window: EventWindow, price_field: str = ADJ_CLOSE
 ) -> PeriodAverages:
     """Arithmetic mean price over the three fixed offset groups."""
+    if price_field not in (ADJ_CLOSE, CLOSE):
+        raise DataError(f"unknown price field {price_field!r}")
     means = []
     for lo, hi in (GROUP_1, GROUP_2, GROUP_3):
-        pairs = window.bars_between(lo, hi)
-        if not pairs:
+        prices = getattr(window.between(lo, hi)[1], price_field)
+        if not prices:
             raise DataError(f"no bars in group [{lo}, {hi}]")
-        means.append(
-            sum(_price(bar, price_field) for _, bar in pairs) / len(pairs)
-        )
-    return PeriodAverages(
-        g1_avg=means[0], g2_avg=means[1], g3_avg=means[2], price_field=price_field
-    )
+        means.append(sum(prices) / len(prices))
+    return PeriodAverages(*means, price_field=price_field)
 
 
 def price_at(
@@ -115,30 +100,27 @@ def price_at(
     ``min_offset``/``max_offset`` restrict which bars may substitute, so a
     pre-split endpoint never borrows a post-split bar and vice versa.
     Ties prefer the earlier offset. Candidates are probed outward from
-    ``offset``, so a lookup costs O(tolerance), not O(window).
+    ``offset``, so a lookup in an aligned window costs O(tolerance).
     """
+    if price_field not in (ADJ_CLOSE, CLOSE):
+        raise DataError(f"unknown price field {price_field!r}")
+    offsets = window.offsets
     for distance in range(tolerance + 1):
         candidates = (offset - distance, offset + distance) if distance else (offset,)
         for candidate in candidates:
-            if min_offset is not None and candidate < min_offset:
-                continue
-            if max_offset is not None and candidate > max_offset:
-                continue
-            bar = window.bar_at(candidate)
-            if bar is not None:
-                return _price(bar, price_field)
-    raise DataError(
-        f"no bar within {tolerance} trading days of offset {offset}"
-    )
+            too_low = min_offset is not None and candidate < min_offset
+            too_high = max_offset is not None and candidate > max_offset
+            if not (too_low or too_high) and candidate in offsets:
+                return getattr(window.bars, price_field)[offsets.index(candidate)]
+    raise DataError(f"no bar within {tolerance} trading days of offset {offset}")
 
 
 def _same_side_price(
     window: EventWindow, offset: int, price_field: str, tolerance: int
 ) -> float:
     """``price_at`` substituting only from ``offset``'s side of day 0."""
-    if offset < 0:
-        return price_at(window, offset, price_field, tolerance, max_offset=-1)
-    return price_at(window, offset, price_field, tolerance, min_offset=0)
+    bounds = (None, -1) if offset < 0 else (0, None)
+    return price_at(window, offset, price_field, tolerance, *bounds)
 
 
 def price_change_pct(
@@ -183,18 +165,13 @@ def gap_series(
     """Per-offset high-low gap over [lo, hi] on the chosen basis."""
     if basis not in (RAW, SPLIT_ADJUSTED):
         raise DataError(f"unknown gap basis {basis!r}")
-    pairs = window.bars_between(lo, hi)
-    if not pairs:
+    offsets, bars = window.between(lo, hi)
+    if not offsets:
         raise DataError(f"no bars in range [{lo}, {hi}]")
-    ratio = window.event.ratio
-    offsets = []
-    gaps = []
-    for offset, bar in pairs:
-        gap = bar.high - bar.low
-        if basis == SPLIT_ADJUSTED and bar.date < window.event.effective_date:
-            gap /= ratio
-        offsets.append(offset)
-        gaps.append(gap)
+    gaps = [high - low for high, low in zip(bars.high, bars.low)]
+    if basis == SPLIT_ADJUSTED:
+        effective, ratio = window.event.effective_date, window.event.ratio
+        gaps = [g / ratio if d < effective else g for g, d in zip(gaps, bars.dates)]
     before = [g for o, g in zip(offsets, gaps) if o < 0]
     after = [g for o, g in zip(offsets, gaps) if o > 0]
     return GapSeries(

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .adjust import PRICES_AND_VOLUME, split_adjust
@@ -36,6 +36,7 @@ from .fundamentals import (
 )
 from .ingest import parse_bars, parse_fundamentals, parse_rates, parse_splits
 from .models import (
+    BarTable,
     EventWindow,
     FundamentalRecord,
     ReferenceRateSeries,
@@ -325,16 +326,12 @@ def analyze_sample(
             analysis, "period_averages",
             lambda: period_averages(window, params.price_field),
         )
-        analysis.price_series = [
-            (off, getattr(bar, params.price_field))
-            for off, bar in window.bars_between(-91, 91)
-        ]
+        offsets, bars = window.between(-91, 91)
+        analysis.price_series = list(zip(offsets, getattr(bars, params.price_field)))
 
     if params.wants("h1") or params.wants("h3"):
-        analysis.volume_series = [
-            (off, bar.volume)
-            for off, bar in volume_window.bars_between(-GAP_SPAN, GAP_SPAN)
-        ]
+        offsets, bars = volume_window.between(-GAP_SPAN, GAP_SPAN)
+        analysis.volume_series = list(zip(offsets, bars.volume))
 
     if params.wants("h2"):
         analysis.post_price_changes = {}
@@ -487,37 +484,36 @@ def _analyze_fundamentals(
 
 
 def analyze_universe(
-    bars: Sequence[TradingBar],
+    bars: BarTable | Iterable[TradingBar],
     events: Sequence[SplitEvent],
     fundamentals: Sequence[FundamentalRecord],
     rates: ReferenceRateSeries | None,
     params: RunParams,
 ) -> tuple[list[SampleAnalysis], list[dict[str, str]]]:
-    """Analyze every event; return (samples, exclusions) in stable order."""
+    """Analyze every event; return (samples, exclusions) in stable order.
+
+    ``bars`` is a ``BarTable``; bars in any other form are put into one.
+    """
     if not events:
         raise NoSamplesError("split calendar is empty")
-    adjusted = params.volume_basis == "adjusted"
-    bars_by_ticker = group_by_ticker(bars)
-    volume_bars_by_ticker = (
-        group_by_ticker(split_adjust(bars, events, PRICES_AND_VOLUME))
-        if adjusted else bars_by_ticker
-    )
+    if not isinstance(bars, BarTable):
+        bars = BarTable.from_bars(bars)
+    volume_bars = bars
+    if params.volume_basis == "adjusted":
+        volume_bars = split_adjust(bars, events, PRICES_AND_VOLUME)
     fundamentals_by_ticker = group_by_ticker(fundamentals)
 
+    spans = (params.pre_span, params.post_span, params.min_coverage)
     samples: list[SampleAnalysis] = []
     exclusions: list[dict[str, str]] = []
     for event in sorted(events, key=lambda e: (e.ticker, e.effective_date)):
         sample_id = f"{event.ticker}@{event.effective_date.isoformat()}"
         try:
-            window = align_to_event(
-                bars_by_ticker.get(event.ticker, []), event,
-                params.pre_span, params.post_span, params.min_coverage,
-            )
+            window = align_to_event(bars.series(event.ticker), event, *spans)
             volume_window = window
-            if adjusted:
+            if volume_bars is not bars:
                 volume_window = align_to_event(
-                    volume_bars_by_ticker.get(event.ticker, []), event,
-                    params.pre_span, params.post_span, params.min_coverage,
+                    volume_bars.series(event.ticker), event, *spans
                 )
         except CoverageError as exc:
             exclusions.append({"sample": sample_id, "reason": str(exc)})

@@ -126,16 +126,25 @@ def pct_change_series(values: Sequence[float]) -> list[float]:
     return [(b - a) / a for a, b in zip(arr, arr[1:])]
 
 
+def _centered(values: list[float]) -> list[float]:
+    """Each value minus the mean of all, the mean summed by ``pairwise_sum``."""
+    mean = pairwise_sum(values) / len(values)
+    return [x - mean for x in values]
+
+
+def _variance(values: list[float], centered: list[float]) -> float:
+    """Population variance of ``values`` from their ``_centered`` form."""
+    if min(values) == max(values):
+        return 0.0
+    return pairwise_sum([d * d for d in centered]) / len(values)
+
+
 def variance(xs: Sequence[float]) -> float:
     """Population variance (divide by n); exactly 0 for a constant series."""
     if len(xs) < 2:
         raise DataError("variance needs at least 2 observations")
     arr = list(map(float, xs))
-    if min(arr) == max(arr):
-        return 0.0
-    n = len(arr)
-    m = pairwise_sum(arr) / n
-    return pairwise_sum([(x - m) * (x - m) for x in arr]) / n
+    return _variance(arr, _centered(arr))
 
 
 def covariance(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -144,12 +153,9 @@ def covariance(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise DataError("covariance needs at least 2 observations")
-    a = list(map(float, xs))
-    b = list(map(float, ys))
-    n = len(a)
-    ma = pairwise_sum(a) / n
-    mb = pairwise_sum(b) / n
-    return pairwise_sum([(x - ma) * (y - mb) for x, y in zip(a, b)]) / n
+    a = _centered(list(map(float, xs)))
+    b = _centered(list(map(float, ys)))
+    return pairwise_sum([x * y for x, y in zip(a, b)]) / len(a)
 
 
 def beta(
@@ -161,6 +167,9 @@ def beta(
 
     covariance variant:  Cov(reference, stock) / Var(stock)
     correlation variant: Corr(reference, stock) / Var(stock)
+
+    Each series is converted to floats and centered once; the moments are
+    those of ``variance`` and ``covariance``, bit for bit.
     """
     if variant not in (COVARIANCE, CORRELATION):
         raise DataError(f"unknown beta variant {variant!r}")
@@ -169,14 +178,20 @@ def beta(
             f"length mismatch: {len(stock_returns)} vs {len(reference_returns)}"
         )
     n = len(stock_returns)
-    var_stock = variance(stock_returns)
+    if n < 2:
+        raise DataError("variance needs at least 2 observations")
+    stock = list(map(float, stock_returns))
+    reference = list(map(float, reference_returns))
+    stock_centered = _centered(stock)
+    var_stock = _variance(stock, stock_centered)
     if var_stock == 0.0:
         raise DataError("stock return variance is zero; beta undefined")
-    cov = covariance(reference_returns, stock_returns)
+    reference_centered = _centered(reference)
+    cov = pairwise_sum([r * s for r, s in zip(reference_centered, stock_centered)]) / n
     if variant == COVARIANCE:
         value = cov / var_stock
     else:
-        var_ref = variance(reference_returns)
+        var_ref = _variance(reference, reference_centered)
         if var_ref == 0.0:
             raise DataError("reference return variance is zero; correlation undefined")
         corr = cov / math.sqrt(var_ref * var_stock)
@@ -231,10 +246,11 @@ def paired_returns(
     computed between consecutive matched dates and paired with the rate on
     the return's end date.
     """
+    bars = window.between(lo, hi)[1]
     matched = [
-        (bar.date, bar.adj_close)
-        for _, bar in window.bars_between(lo, hi)
-        if rates.rate_on(bar.date) is not None
+        (date, price)
+        for date, price in zip(bars.dates, bars.adj_close)
+        if rates.rate_on(date) is not None
     ]
     if len(matched) < 3:
         raise CoverageError(

@@ -66,9 +66,9 @@ def window_volume_total(window: EventWindow, lo: int, hi: int) -> WindowTotal:
             f"range [{lo}, {hi}] does not intersect window span "
             f"[{span_lo}, {span_hi}]"
         )
-    pairs = window.bars_between(lo, hi)
-    total = sum(bar.volume for _, bar in pairs)
-    coverage = len(pairs) / (hi - lo + 1)
+    offsets, bars = window.between(lo, hi)
+    total = sum(bars.volume)
+    coverage = len(offsets) / (hi - lo + 1)
     return WindowTotal(total=total, lo=lo, hi=hi, coverage=coverage)
 
 
@@ -123,19 +123,17 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
 def volume_trend(window: EventWindow, lo: int, hi: int) -> TrendFit:
     """OLS fit of volume against trading-day offset over [lo, hi]."""
-    pairs = window.bars_between(lo, hi)
-    if len(pairs) < 2:
+    offsets, bars = window.between(lo, hi)
+    if len(offsets) < 2:
         raise DataError(
-            f"need at least 2 bars in [{lo}, {hi}] for a trend, got {len(pairs)}"
+            f"need at least 2 bars in [{lo}, {hi}] for a trend, got {len(offsets)}"
         )
-    slope, intercept = ols_fit(
-        [offset for offset, _ in pairs], [bar.volume for _, bar in pairs]
-    )
-    y_mean = sum(bar.volume for _, bar in pairs) / len(pairs)
+    slope, intercept = ols_fit(offsets, bars.volume)
+    y_mean = sum(bars.volume) / len(bars)
     normalized = 100.0 * slope / y_mean if y_mean != 0.0 else None
     return TrendFit(
         slope=slope,
         intercept=intercept,
         normalized_slope_pct=normalized,
-        n_points=len(pairs),
+        n_points=len(offsets),
     )

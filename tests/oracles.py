@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import unicodedata
 from pathlib import Path
 from typing import Sequence
 
@@ -167,6 +168,8 @@ def _check_bar(fields: dict) -> None:
         raise DataError(f"high ({high}) must be >= max(open, close) ({body_hi})")
     if fields["volume"] < 0:
         raise DataError(f"volume ({fields['volume']}) must be >= 0")
+    if fields["volume"] > 2**63 - 1:  # the volume column is int64
+        raise DataError(f"volume ({fields['volume']}) must be <= {2**63 - 1}")
 
 
 def parse_bars_per_field(path: str | Path) -> list[TradingBar]:
@@ -210,6 +213,8 @@ def parse_bars_per_field(path: str | Path) -> list[TradingBar]:
         ticker = row[0].strip()
         if not ticker:
             raise DataError(f"line {lineno}: empty ticker")
+        if any(unicodedata.category(ch) == "Cc" for ch in ticker):
+            raise DataError(f"line {lineno}: control character in ticker {ticker!r}")
         try:
             date = datetime.date.fromisoformat(row[1].strip())
         except ValueError:

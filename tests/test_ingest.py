@@ -119,13 +119,13 @@ def test_parse_bars_reports_bad_number_with_one_line_prefix(tmp_path):
     [
         (
             parse_splits,
-            'ticker,effective_date,ratio\n"A\nB",2014-01-02,2\nX,2014-01-03,zz\n',
+            'ticker,effective_date,ratio\nA,"2014-01-02\n",2\nX,2014-01-03,zz\n',
             "line 4: bad ratio 'zz'",
         ),
         (
             parse_bars,
             "ticker,date,open,high,low,close,adj_close,volume\n"
-            '"A\nB",2013-06-03,10,11,9,10.5,10.5,1000\n'
+            'A,"2013-06-03\n",10,11,9,10.5,10.5,1000\n'
             "\n"
             "X,2013-06-03,x,11,9,10.5,10.5,1000\n",
             "line 5: bad open 'x'",
@@ -239,6 +239,8 @@ FAULTS = (
     "low_gt_body",
     "high_lt_body",
     "negative_volume",
+    "huge_volume",
+    "control_ticker",
     "non_finite",
     "blank_line",
 )
@@ -287,6 +289,10 @@ def bars_rows(draw):
             row[3] = str(max(open_, close) / 4 - 0.125)
         elif fault == "negative_volume":
             row[7] = "-5"
+        elif fault == "huge_volume":  # beyond int64: 20 digits, and 2**63
+            row[7] = draw(st.sampled_from(["99999999999999999999", str(2**63)]))
+        elif fault == "control_ticker":
+            row[0] = draw(st.sampled_from(["A\x01A", "B\tB", " CC\x7f", "D\x85D"]))
         elif fault == "non_finite":
             row[price] = draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
         elif fault == "blank_line":
@@ -299,7 +305,7 @@ def bars_rows(draw):
 
 def _outcome(parse, path):
     try:
-        return parse(path)
+        return list(parse(path))
     except DataError as exc:
         return f"DataError: {exc}"
 
@@ -436,6 +442,61 @@ def test_parse_bars_peak_memory_per_bar(tmp_path):
     assert peak / len(parsed) < 750
 
 
+def test_parse_bars_peak_memory_per_bar_columnar(tmp_path):
+    # The table holds a bar in 48 bytes of columns plus a list slot and a
+    # date shared by every ticker; parsing it must not build row objects.
+    bars = []
+    for i in range(10):
+        spec = ScenarioSpec(seed=50 + i, n_days=500, split_day=250, ticker=f"T{i}")
+        bars.extend(generate_history(spec)[0])
+    path = tmp_path / "bars.csv"
+    write_bars(path, bars)
+    tracemalloc.start()
+    try:
+        parsed = parse_bars(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 5000
+    assert peak / len(parsed) < 150
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_bars, BARS_HEADER_LINE + "X,2013-06-03,10,11,9,10.5,10.5,1000\n"
+         + "{ticker},2013-06-04,10,11,9,10.5,10.5,1000\n"),
+        (parse_splits, "ticker,effective_date,ratio\nX,2014-01-02,2\n"
+         + "{ticker},2014-01-03,2\n"),
+        (parse_fundamentals, "ticker,fiscal_year,net_profit,shareholders_equity\n"
+         + "X,2013,100,1000\n{ticker},2013,100,1000\n"),
+    ],
+    ids=["bars", "splits", "fundamentals"],
+)
+@pytest.mark.parametrize("ticker", ['"A\nB"', "A\tB", "A\x1fB", "A\x7f", "A\x9bB"])
+def test_control_character_in_ticker_rejected_with_line(tmp_path, parse, text, ticker):
+    # A line break or other control character in a ticker would reach
+    # sample ids and every CSV; the row is refused with its line number.
+    path = _write(tmp_path, "input.csv", text.format(ticker=ticker))
+    with pytest.raises(DataError) as exc_info:
+        parse(path)
+    name = ticker.strip('"')
+    assert str(exc_info.value) == f"line 3: control character in ticker {name!r}"
+
+
+def test_volume_beyond_int64_rejected_with_line(tmp_path):
+    largest = 2**63 - 1
+    row = "X,2013-06-0{day},10,11,9,10.5,10.5,{volume}\n"
+    ok = _write(tmp_path, "ok.csv", BARS_HEADER_LINE + row.format(day=3, volume=largest))
+    assert [bar.volume for bar in parse_bars(ok)] == [largest]
+    for volume in (largest + 1, 10**20 - 1):
+        text = BARS_HEADER_LINE + row.format(day=3, volume=1000)
+        path = _write(tmp_path, "big.csv", text + row.format(day=4, volume=volume))
+        with pytest.raises(DataError) as exc_info:
+            parse_bars(path)
+        assert str(exc_info.value) == f"line 3: volume ({volume}) must be <= {largest}"
+
+
 def test_parse_splits_table1_ratios(tmp_path):
     rows = "\n".join(
         f"S{i},2014-01-0{1 + i % 9},{r}" for i, r in enumerate(TABLE1_RATIOS, 1)
@@ -477,7 +538,7 @@ def test_round_trip_bars_lossless(tmp_path):
     bars, event = generate_history(ScenarioSpec(seed=3, n_days=120, split_day=60))
     path = tmp_path / "bars.csv"
     write_bars(path, bars)
-    assert parse_bars(path) == bars
+    assert list(parse_bars(path)) == bars
 
     spath = tmp_path / "splits.csv"
     write_splits(spath, [event])

@@ -6,6 +6,7 @@ import pytest
 
 from splitstudy.errors import DataError
 from splitstudy.models import (
+    BarTable,
     EventWindow,
     ReferenceRateSeries,
     SplitEvent,
@@ -78,7 +79,7 @@ def test_window_rejects_mislabeled_anchor():
     with pytest.raises(DataError):
         EventWindow(
             event=event,
-            bars=tuple(bars),
+            bars=BarTable.from_bars(bars),
             offsets=(-2, -1, 0),  # offset 0 bar predates the effective date
             coverage=1.0,
             span=(-2, 0),
@@ -87,8 +88,23 @@ def test_window_rejects_mislabeled_anchor():
 
 def test_window_bars_between_and_coverage():
     window = window_for([10.0] * 11)
-    pairs = window.bars_between(-2, 2)
-    assert [o for o, _ in pairs] == [-2, -1, 0, 1, 2]
+    offsets, bars = window.between(-2, 2)
+    assert list(offsets) == [-2, -1, 0, 1, 2] and len(bars) == 5
     assert window.coverage_between(-5, 5) == 1.0
     with pytest.raises(DataError):
         window.coverage_between(3, 1)
+
+
+def test_bar_table_sorts_rows_and_slices_by_ticker():
+    a = daily_bars([10.0, 11.0, 12.0], ticker="A")
+    b = daily_bars([20.0, 21.0], ticker="B")
+    table = BarTable.from_bars(b[::-1] + a[::-1])
+    assert len(table) == 5 and list(table) == a + b
+    assert table.ranges == {"A": range(0, 3), "B": range(3, 5)}
+    assert list(table.series("B")) == b and table.series("B").ranges == {"B": range(2)}
+    assert not table.series("C") and table.series("C").ranges == {}
+    middle = table[2:4]
+    assert list(middle) == [a[2], b[0]]
+    assert middle.ranges == {"A": range(0, 1), "B": range(1, 2)}
+    with pytest.raises(DataError, match="duplicate bar for A"):
+        BarTable.from_bars(a + a[1:2])

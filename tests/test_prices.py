@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitstudy.errors import DataError
-from splitstudy.models import EventWindow, SplitEvent
+from splitstudy.models import BarTable, EventWindow, SplitEvent
 from splitstudy.prices import (
     CLOSE,
     RAW,
@@ -209,7 +209,7 @@ def _interior_gap_windows(draw):
     event = SplitEvent("X", dates[span], 2.0)
     return EventWindow(
         event=event,
-        bars=tuple(bars),
+        bars=BarTable.from_bars(bars),
         offsets=tuple(offsets),
         coverage=len(offsets) / (2 * span + 1),
         span=(-span, span),
@@ -256,7 +256,9 @@ def test_price_at_tie_prefers_earlier_offset():
     offsets = (-3, -1, 0, 1, 3)
     window = EventWindow(
         event=SplitEvent("X", dates[3], 2.0),
-        bars=tuple(make_bar(date=dates[o + 3], close=100.0 + o) for o in offsets),
+        bars=BarTable.from_bars(
+            make_bar(date=dates[o + 3], close=100.0 + o) for o in offsets
+        ),
         offsets=offsets,
         coverage=5 / 7,
         span=(-3, 3),

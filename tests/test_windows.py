@@ -28,7 +28,7 @@ def test_zero_span_window_is_single_anchor_bar():
     event = SplitEvent("X", bars[4].date, 2.0)
     window = align_to_event(bars, event, 0, 0)
     assert len(window) == 1
-    assert window.offsets == (0,)
+    assert tuple(window.offsets) == (0,)
 
 
 def test_weekend_effective_date_anchors_next_trading_day():
