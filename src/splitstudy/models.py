@@ -221,13 +221,18 @@ class EventWindow:
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def between(self, lo: int, hi: int) -> tuple[Sequence[int], BarTable]:
-        """The present offsets in [lo, hi] and their bars."""
+    def between(self, lo: int, hi: int) -> tuple[Sequence[int], slice]:
+        """The present offsets in [lo, hi] and the slice of ``bars`` rows at them."""
         start, stop = bisect_left(self.offsets, lo), bisect_right(self.offsets, hi)
-        return self.offsets[start:stop], self.bars[start:stop]
+        return self.offsets[start:stop], slice(start, stop)
 
     def bar_at(self, offset: int) -> TradingBar | None:
-        return next(iter(self.between(offset, offset)[1]), None)
+        rows = self.between(offset, offset)[1]
+        if rows.start == rows.stop:
+            return None
+        (ticker,), t, i = self.bars.ranges, self.bars, rows.start
+        prices = (getattr(t, name)[i] for name in PRICE_COLUMNS)
+        return TradingBar(ticker, t.dates[i], *prices, t.volume[i])
 
     def coverage_between(self, lo: int, hi: int) -> float:
         """Fraction of offsets in [lo, hi] actually present."""

@@ -80,7 +80,7 @@ def period_averages(
         raise DataError(f"unknown price field {price_field!r}")
     means = []
     for lo, hi in (GROUP_1, GROUP_2, GROUP_3):
-        prices = getattr(window.between(lo, hi)[1], price_field)
+        prices = getattr(window.bars, price_field)[window.between(lo, hi)[1]]
         if not prices:
             raise DataError(f"no bars in group [{lo}, {hi}]")
         means.append(sum(prices) / len(prices))
@@ -165,13 +165,13 @@ def gap_series(
     """Per-offset high-low gap over [lo, hi] on the chosen basis."""
     if basis not in (RAW, SPLIT_ADJUSTED):
         raise DataError(f"unknown gap basis {basis!r}")
-    offsets, bars = window.between(lo, hi)
+    offsets, rows = window.between(lo, hi)
     if not offsets:
         raise DataError(f"no bars in range [{lo}, {hi}]")
-    gaps = [high - low for high, low in zip(bars.high, bars.low)]
-    if basis == SPLIT_ADJUSTED:
-        effective, ratio = window.event.effective_date, window.event.ratio
-        gaps = [g / ratio if d < effective else g for g, d in zip(gaps, bars.dates)]
+    gaps = [h - l for h, l in zip(window.bars.high[rows], window.bars.low[rows])]
+    if basis == SPLIT_ADJUSTED:  # negative offsets are the pre-split dates
+        ratio = window.event.ratio
+        gaps = [g / ratio if o < 0 else g for g, o in zip(gaps, offsets)]
     before = [g for o, g in zip(offsets, gaps) if o < 0]
     after = [g for o, g in zip(offsets, gaps) if o > 0]
     return GapSeries(

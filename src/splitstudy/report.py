@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .adjust import PRICES_AND_VOLUME, split_adjust
@@ -198,20 +198,45 @@ class AnalysisReport:
     exclusions: list[dict[str, str]]
     generated_at: str | None = None
 
+    def _top_level(self) -> Iterator[tuple[str, Any]]:
+        """The top-level (key, value) pairs in output order; ``samples`` is
+        left as the ``SampleAnalysis`` list."""
+        yield "engine", {"name": "splitstudy", "version": __version__}
+        yield "generated_at", self.generated_at
+        yield "config", self.config
+        yield "inputs", self.inputs
+        yield "params", _params_dict(self.params)
+        yield "samples", self.samples
+        yield "aggregate", self.aggregate
+        yield "exclusions", self.exclusions
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine": {"name": "splitstudy", "version": __version__},
-            "generated_at": self.generated_at,
-            "config": self.config,
-            "inputs": self.inputs,
-            "params": _params_dict(self.params),
-            "samples": [_sample_dict(s, self.params) for s in self.samples],
-            "aggregate": self.aggregate,
-            "exclusions": self.exclusions,
-        }
+        out = dict(self._top_level())
+        out["samples"] = [_sample_dict(s, self.params) for s in self.samples]
+        return out
 
     def to_json(self) -> str:
-        return _encode(self.to_dict(), 0) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\\n"``.
+
+        Each sample's dict is built, encoded and dropped in turn, and every
+        piece goes into one list joined once, so at the peak only the pieces
+        and the finished text are alive.
+        """
+        parts = []
+        sep = "{\n  "
+        for key, value in self._top_level():
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            sep = ",\n  "
+            if key != "samples" or not value:
+                parts.append(_encode(value, 1))
+                continue
+            item_sep = "[\n    "
+            for s in value:
+                parts += (item_sep, _encode(_sample_dict(s, self.params), 2))
+                item_sep = ",\n    "
+            parts.append("\n  ]")
+        parts.append("\n}\n")
+        return "".join(parts)
 
 
 _compact = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
@@ -326,12 +351,14 @@ def analyze_sample(
             analysis, "period_averages",
             lambda: period_averages(window, params.price_field),
         )
-        offsets, bars = window.between(-91, 91)
-        analysis.price_series = list(zip(offsets, getattr(bars, params.price_field)))
+        offsets, rows = window.between(-91, 91)
+        prices = getattr(window.bars, params.price_field)[rows]
+        analysis.price_series = list(zip(offsets, prices))
 
     if params.wants("h1") or params.wants("h3"):
-        offsets, bars = volume_window.between(-GAP_SPAN, GAP_SPAN)
-        analysis.volume_series = list(zip(offsets, bars.volume))
+        offsets, rows = volume_window.between(-GAP_SPAN, GAP_SPAN)
+        volumes = volume_window.bars.volume[rows]
+        analysis.volume_series = list(zip(offsets, volumes))
 
     if params.wants("h2"):
         analysis.post_price_changes = {}
@@ -867,91 +894,71 @@ def _fig_group(offset: int) -> str:
     return "g3"
 
 
-def _rows_table1(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "ticker", "effective_date", "split_ratio"]
-    rows = [
-        [s.sample_id, s.event.ticker, s.event.effective_date.isoformat(),
-         _ratio(s.event.ratio)]
-        for s in samples
-    ]
-    return header, rows
+def _rows_table1(samples, params) -> Iterator[list]:
+    yield ["sample", "ticker", "effective_date", "split_ratio"]
+    for s in samples:
+        yield [s.sample_id, s.event.ticker, s.event.effective_date.isoformat(),
+               _ratio(s.event.ratio)]
 
 
-def _rows_fig1(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "before_total", "after_total", "after_pct_of_before"]
-    rows = []
+def _rows_fig1(samples, params) -> Iterator[list]:
+    yield ["sample", "before_total", "after_total", "after_pct_of_before"]
     for s in samples:
         c = s.volume_comparison
-        if c is None:
-            continue
-        rows.append(
-            [s.sample_id, c.before_total, c.after_total, _pct(c.after_pct_of_before)]
-        )
-    return header, rows
+        if c is not None:
+            yield [s.sample_id, c.before_total, c.after_total,
+                   _pct(c.after_pct_of_before)]
 
 
-def _rows_fig2(samples, params) -> tuple[list[str], list[list]]:
+def _rows_fig2(samples, params) -> list[list]:
+    # One aggregate row, computed before the file opens so that a DataError
+    # leaves no partial fig2.csv.
     comparisons = [s.volume_comparison for s in samples if s.volume_comparison]
     before_share, after_share = aggregate_volume_share(comparisons)
-    return ["before_share", "after_share"], [[_ratio(before_share), _ratio(after_share)]]
+    return [["before_share", "after_share"], [_ratio(before_share), _ratio(after_share)]]
 
 
-def _rows_fig3(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "offset", "volume"]
-    rows = []
+def _rows_fig3(samples, params) -> Iterator[list]:
+    yield ["sample", "offset", "volume"]
     for s in samples:
         for offset, volume in s.volume_series or []:
             if -SHORT_SPAN <= offset <= SHORT_SPAN:
-                rows.append([s.sample_id, offset, volume])
-    return header, rows
+                yield [s.sample_id, offset, volume]
 
 
-def _rows_fig4(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "side", "slope", "intercept", "normalized_slope_pct"]
-    rows = []
+def _rows_fig4(samples, params) -> Iterator[list]:
+    yield ["sample", "side", "slope", "intercept", "normalized_slope_pct"]
     for s in samples:
         for side, fit in (("before", s.trend_before), ("after", s.trend_after)):
-            if fit is None:
-                continue
-            rows.append(
-                [s.sample_id, side, _ratio(fit.slope), _ratio(fit.intercept),
-                 _pct(fit.normalized_slope_pct)]
-            )
-    return header, rows
+            if fit is not None:
+                yield [s.sample_id, side, _ratio(fit.slope), _ratio(fit.intercept),
+                       _pct(fit.normalized_slope_pct)]
 
 
-def _rows_fig5(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "offset", "group", "price"]
-    rows = []
+def _rows_fig5(samples, params) -> Iterator[list]:
+    yield ["sample", "offset", "group", "price"]
     for s in samples:
         for offset, price in s.price_series or []:
-            rows.append([s.sample_id, offset, _fig_group(offset), _ratio(price)])
-    return header, rows
+            yield [s.sample_id, offset, _fig_group(offset), _ratio(price)]
 
 
-def _rows_fig6(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "g1_avg", "g2_avg", "g3_avg"]
-    rows = []
+def _rows_fig6(samples, params) -> Iterator[list]:
+    yield ["sample", "g1_avg", "g2_avg", "g3_avg"]
     for s in samples:
         p = s.period_avgs
-        if p is None:
-            continue
-        rows.append([s.sample_id, _ratio(p.g1_avg), _ratio(p.g2_avg), _ratio(p.g3_avg)])
-    return header, rows
+        if p is not None:
+            yield [s.sample_id, _ratio(p.g1_avg), _ratio(p.g2_avg), _ratio(p.g3_avg)]
 
 
-def _rows_fig7(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "months", "price_change_pct"]
-    rows = []
+def _rows_fig7(samples, params) -> Iterator[list]:
+    yield ["sample", "months", "price_change_pct"]
     for s in samples:
         for months, pct in sorted((s.post_price_changes or {}).items()):
-            rows.append([s.sample_id, months, _pct(pct)])
-    return header, rows
+            yield [s.sample_id, months, _pct(pct)]
 
 
-def _rows_fig9(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "fiscal_year", "roe", "roe_change_pp"]
-    rows = []
+def _rows_fig9(samples, params) -> Iterator[list]:
+    yield ["sample", "fiscal_year", "roe", "roe_change_pp"]
     for s in samples:
         for year, value in sorted((s.roe_by_year or {}).items()):
             change = (
@@ -959,45 +966,37 @@ def _rows_fig9(samples, params) -> tuple[list[str], list[list]]:
                 if s.roe_years and year == s.roe_years[1]
                 else ""
             )
-            rows.append([s.sample_id, year, _ratio(value), change])
-    return header, rows
+            yield [s.sample_id, year, _ratio(value), change]
 
 
-def _rows_fig10(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "months", "price_change_pct"]
-    rows = []
+def _rows_fig10(samples, params) -> Iterator[list]:
+    yield ["sample", "months", "price_change_pct"]
     for s in samples:
         for months, pct in sorted((s.around_price_changes or {}).items()):
-            rows.append([s.sample_id, months, _pct(pct)])
-    return header, rows
+            yield [s.sample_id, months, _pct(pct)]
 
 
-def _rows_abnormal(samples, params, baseline: str) -> tuple[list[str], list[list]]:
-    header = [
+def _rows_abnormal(samples, params, baseline: str) -> Iterator[list]:
+    yield [
         "sample", "months", "horizon_days", "normal_return",
         "market_influenced_return", "abnormal_pct",
     ]
-    rows = []
     for s in samples:
         for a in s.abnormal or []:
             if a.baseline != baseline:
                 continue
-            rows.append(
-                [
-                    s.sample_id,
-                    a.horizon // params.month_days,
-                    a.horizon,
-                    _ratio(a.normal_return),
-                    _ratio(a.market_influenced_return),
-                    _pct(100.0 * a.abnormal),
-                ]
-            )
-    return header, rows
+            yield [
+                s.sample_id,
+                a.horizon // params.month_days,
+                a.horizon,
+                _ratio(a.normal_return),
+                _ratio(a.market_influenced_return),
+                _pct(100.0 * a.abnormal),
+            ]
 
 
-def _rows_fig13(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "offset", "gap_raw", "gap_split_adjusted"]
-    rows = []
+def _rows_fig13(samples, params) -> Iterator[list]:
+    yield ["sample", "offset", "gap_raw", "gap_split_adjusted"]
     for s in samples:
         raw = (s.gap_90 or {}).get(RAW)
         adj = (s.gap_90 or {}).get(SPLIT_ADJUSTED)
@@ -1005,91 +1004,69 @@ def _rows_fig13(samples, params) -> tuple[list[str], list[list]]:
             continue
         adj_by_offset = dict(zip(adj.offsets, adj.gaps))
         for offset, gap in zip(raw.offsets, raw.gaps):
-            rows.append(
-                [s.sample_id, offset, _ratio(gap), _ratio(adj_by_offset[offset])]
-            )
-    return header, rows
+            yield [s.sample_id, offset, _ratio(gap), _ratio(adj_by_offset[offset])]
 
 
-def _rows_fig14(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "offset", "volume"]
-    rows = []
+def _rows_fig14(samples, params) -> Iterator[list]:
+    yield ["sample", "offset", "volume"]
     for s in samples:
         for offset, volume in s.volume_series or []:
-            rows.append([s.sample_id, offset, volume])
-    return header, rows
+            yield [s.sample_id, offset, volume]
 
 
-def _rows_fig15(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "basis", "mean_gap_before", "mean_gap_after"]
-    rows = []
+def _rows_fig15(samples, params) -> Iterator[list]:
+    yield ["sample", "basis", "mean_gap_before", "mean_gap_after"]
     for s in samples:
         for basis, g in sorted((s.gap_half_year or {}).items()):
-            rows.append(
-                [s.sample_id, basis, _ratio(g.mean_gap_before), _ratio(g.mean_gap_after)]
-            )
-    return header, rows
+            yield [s.sample_id, basis, _ratio(g.mean_gap_before),
+                   _ratio(g.mean_gap_after)]
 
 
-def _rows_fig16(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "before_total", "after_total", "after_pct_of_before"]
-    rows = []
+def _rows_fig16(samples, params) -> Iterator[list]:
+    yield ["sample", "before_total", "after_total", "after_pct_of_before"]
     for s in samples:
         c = s.volume_comparison_half_year
-        if c is None:
-            continue
-        rows.append(
-            [s.sample_id, c.before_total, c.after_total, _pct(c.after_pct_of_before)]
-        )
-    return header, rows
+        if c is not None:
+            yield [s.sample_id, c.before_total, c.after_total,
+                   _pct(c.after_pct_of_before)]
 
 
-def _rows_table2(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "split_year", "fiscal_year", "indexed_pct", "total_diff"]
-    rows = []
+def _rows_table2(samples, params) -> Iterator[list]:
+    yield ["sample", "split_year", "fiscal_year", "indexed_pct", "total_diff"]
     for s in samples:
         row = s.indexed_profit
         if row is None:
             continue
         for year, value in sorted(row.indexed.items()):
-            rows.append(
-                [s.sample_id, row.split_year, year, _pct(value), _pct(row.total_diff)]
-            )
-    return header, rows
+            yield [s.sample_id, row.split_year, year, _pct(value), _pct(row.total_diff)]
 
 
-def _rows_table3(samples, params) -> tuple[list[str], list[list]]:
-    header = [
+def _rows_table3(samples, params) -> Iterator[list]:
+    yield [
         "sample", "price_change_pct", "profit_change_pct", "roe_change_pp",
         "consistent",
     ]
-    rows = []
     for s in samples:
         c = s.consistency
-        if c is None:
-            continue
-        rows.append(
-            [
+        if c is not None:
+            yield [
                 s.sample_id,
                 _pct(c.price_change_pct),
                 _pct(c.profit_change_pct),
                 _pct(c.roe_change_pct),
                 str(c.consistent).lower(),
             ]
-        )
-    return header, rows
 
 
-def _rows_betas(samples, params) -> tuple[list[str], list[list]]:
-    header = ["sample", "beta", "variant", "n_obs"]
-    rows = []
+def _rows_betas(samples, params) -> Iterator[list]:
+    yield ["sample", "beta", "variant", "n_obs"]
     for s in samples:
-        if s.beta is None:
-            continue
-        rows.append([s.sample_id, _ratio(s.beta.beta), s.beta.variant, s.beta.n_obs])
-    return header, rows
+        if s.beta is not None:
+            yield [s.sample_id, _ratio(s.beta.beta), s.beta.variant, s.beta.n_obs]
 
 
+# selector -> (hypothesis, renderer); a renderer gives the CSV header row
+# and then the data rows, lazily except for fig2's single aggregate row.
 SELECTORS: dict[str, tuple[str, Callable]] = {
     "table1": ("h1", _rows_table1),
     "fig1": ("h1", _rows_fig1),
@@ -1156,11 +1133,9 @@ def emit(
                     f"selector {name!r} needs hypothesis {hypothesis!r} but the "
                     f"run computed {report.params.hypothesis!r}"
                 )
-            header, rows = renderer(report.samples, report.params)
+            rows = renderer(report.samples, report.params)
             path = out_dir / f"{name}.csv"
             with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+                csv.writer(fh).writerows(rows)
             written.append(path)
     return written

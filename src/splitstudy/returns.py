@@ -209,14 +209,8 @@ def gross_return(
     max_offset: int | None = None,
 ) -> ReturnObservation:
     """Gross return between two offsets using the nearest-bar rule."""
-    p_start = price_at(
-        window, start, price_field, tolerance, min_offset=min_offset,
-        max_offset=max_offset,
-    )
-    p_end = price_at(
-        window, end, price_field, tolerance, min_offset=min_offset,
-        max_offset=max_offset,
-    )
+    p_start = price_at(window, start, price_field, tolerance, min_offset, max_offset)
+    p_end = price_at(window, end, price_field, tolerance, min_offset, max_offset)
     return ReturnObservation(
         period_start=start, period_end=end, gross_return=p_end / p_start
     )
@@ -246,10 +240,10 @@ def paired_returns(
     computed between consecutive matched dates and paired with the rate on
     the return's end date.
     """
-    bars = window.between(lo, hi)[1]
+    rows, bars = window.between(lo, hi)[1], window.bars
     matched = [
         (date, price)
-        for date, price in zip(bars.dates, bars.adj_close)
+        for date, price in zip(bars.dates[rows], bars.adj_close[rows])
         if rates.rate_on(date) is not None
     ]
     if len(matched) < 3:

@@ -66,8 +66,8 @@ def window_volume_total(window: EventWindow, lo: int, hi: int) -> WindowTotal:
             f"range [{lo}, {hi}] does not intersect window span "
             f"[{span_lo}, {span_hi}]"
         )
-    offsets, bars = window.between(lo, hi)
-    total = sum(bars.volume)
+    offsets, rows = window.between(lo, hi)
+    total = sum(window.bars.volume[rows])
     coverage = len(offsets) / (hi - lo + 1)
     return WindowTotal(total=total, lo=lo, hi=hi, coverage=coverage)
 
@@ -123,13 +123,14 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
 def volume_trend(window: EventWindow, lo: int, hi: int) -> TrendFit:
     """OLS fit of volume against trading-day offset over [lo, hi]."""
-    offsets, bars = window.between(lo, hi)
+    offsets, rows = window.between(lo, hi)
     if len(offsets) < 2:
         raise DataError(
             f"need at least 2 bars in [{lo}, {hi}] for a trend, got {len(offsets)}"
         )
-    slope, intercept = ols_fit(offsets, bars.volume)
-    y_mean = sum(bars.volume) / len(bars)
+    volumes = window.bars.volume[rows]
+    slope, intercept = ols_fit(offsets, volumes)
+    y_mean = sum(volumes) / len(volumes)
     normalized = 100.0 * slope / y_mean if y_mean != 0.0 else None
     return TrendFit(
         slope=slope,

@@ -88,8 +88,8 @@ def test_window_rejects_mislabeled_anchor():
 
 def test_window_bars_between_and_coverage():
     window = window_for([10.0] * 11)
-    offsets, bars = window.between(-2, 2)
-    assert list(offsets) == [-2, -1, 0, 1, 2] and len(bars) == 5
+    offsets, rows = window.between(-2, 2)
+    assert list(offsets) == [-2, -1, 0, 1, 2] and len(window.bars.dates[rows]) == 5
     assert window.coverage_between(-5, 5) == 1.0
     with pytest.raises(DataError):
         window.coverage_between(3, 1)

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from splitstudy.models import SplitEvent, group_by_ticker
 from splitstudy.report import (
     HYPOTHESES,
     VOLUME_BASES,
+    AnalysisReport,
     RunConfig,
     RunParams,
     _encode,
@@ -247,6 +249,61 @@ def test_demo_to_json_is_stdlib_indent(hypothesis, tmp_path):
         )
         report = run_pipeline(config)
         assert report.to_json() == _stdlib(report.to_dict()) + "\n"
+
+
+def test_edge_reports_to_json_is_stdlib_indent():
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=400, daily_vol=0.0, volume_noise=0.0,
+                     split_day=140, split_ratio=2.0)
+    )
+    # No pre-split rows and no rates or fundamentals: many metrics absent.
+    from_day0 = [b for b in bars if b.date >= event.effective_date]
+    ghost = SplitEvent("GHST", event.effective_date, 2.0)
+    params = RunParams(min_coverage=0.0)
+    samples, exclusions = analyze_universe(
+        from_day0, [event, ghost], [], None, params
+    )
+    (sample,) = samples
+    assert exclusions and sample.beta is None and sample.trend_before is None
+    assert sample.period_avgs is None and sample.post_price_changes == {}
+    for samples, exclusions in (([], []), (samples, exclusions)):
+        report = AnalysisReport(
+            config={}, inputs={"bars": None}, params=params, samples=samples,
+            aggregate={"n_samples": len(samples)}, exclusions=exclusions,
+        )
+        assert report.to_json() == _stdlib(report.to_dict()) + "\n"
+
+
+def _traced_peak(call):
+    """The most memory ``call()`` held at once, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _repeated(report, copies):
+    return dataclasses.replace(report, samples=report.samples * copies)
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+def test_to_json_peak_stays_near_its_text(demo_report, copies):
+    # The pieces and the joined text, not a dict tree of the whole report
+    # and further copies of the text beside them.
+    report = _repeated(demo_report, copies)
+    text = report.to_json()
+    assert _traced_peak(report.to_json) <= 2.5 * len(text)
+
+
+def test_csv_emit_peak_does_not_grow_with_samples(demo_report, tmp_path):
+    def peak(copies):
+        report = _repeated(demo_report, copies)
+        return _traced_peak(lambda: emit(report, tmp_path, formats=("csv",)))
+
+    peak(1)  # first calls fill caches
+    assert peak(8) < 2 * peak(1)
 
 
 def test_report_is_deterministic(demo_paths, tmp_path):
