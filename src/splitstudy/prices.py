@@ -168,9 +168,9 @@ def gap_series(
     offsets, rows = window.between(lo, hi)
     if not offsets:
         raise DataError(f"no bars in range [{lo}, {hi}]")
-    gaps = [h - l for h, l in zip(window.bars.high[rows], window.bars.low[rows])]
+    bars, ratio = window.bars, window.event.ratio
+    gaps = [high - low for high, low in zip(bars.high[rows], bars.low[rows])]
     if basis == SPLIT_ADJUSTED:  # negative offsets are the pre-split dates
-        ratio = window.event.ratio
         gaps = [g / ratio if o < 0 else g for g, o in zip(gaps, offsets)]
     before = [g for o, g in zip(offsets, gaps) if o < 0]
     after = [g for o, g in zip(offsets, gaps) if o > 0]
