@@ -1,9 +1,11 @@
-"""Byte-identity of report.json and all 20 CSVs on pinned demo runs.
+"""Byte-identity of report.json and every CSV on pinned runs.
 
-Each case runs the demo universe of one seed on one volume basis and one
-beta variant, in an empty working directory with relative paths, and
-compares the sha256 of every emitted file with ``golden_digests.json``.
-A refactor that changes one output byte fails here.
+Each case runs one universe with one set of parameters, in an empty
+working directory with relative paths, and compares the sha256 of every
+emitted file with ``golden_digests.json``. Most cases run the demo
+universe of one seed; ``edge-absent-metrics`` runs a universe with an
+excluded event and a sample whose metrics are mostly absent. A refactor
+that changes one output byte fails here.
 
 Regenerate the digests only for an intended output change:
 
@@ -21,46 +23,77 @@ from pathlib import Path
 
 import pytest
 
-from splitstudy.report import RunConfig, RunParams, emit, run_pipeline
+from splitstudy.ingest import write_bars, write_splits
+from splitstudy.models import SplitEvent
+from splitstudy.report import (
+    RunConfig,
+    RunParams,
+    available_selectors,
+    emit,
+    run_pipeline,
+)
+from splitstudy.synthetic import ScenarioSpec, generate_history
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
-CASES = [
-    (seed, volume_basis, beta_variant)
+EDGE = "edge-absent-metrics"
+# case id -> (demo seed, or None for the edge universe; RunParams fields)
+CASES = {
+    f"seed{seed}-{volume_basis}-{beta_variant}": (
+        seed, {"volume_basis": volume_basis, "beta_variant": beta_variant}
+    )
     for seed in (0, 1, 2)
     for volume_basis in ("raw", "adjusted")
     for beta_variant in ("cov", "corr")
-]
+}
+CASES.update(
+    {
+        "seed0-h1": (0, {"hypothesis": "h1"}),
+        "seed0-h2": (0, {"hypothesis": "h2"}),
+        "seed0-h3": (0, {"hypothesis": "h3"}),
+        "seed0-price-raw": (0, {"price_basis": "raw"}),
+        "seed0-h2-price-raw": (0, {"hypothesis": "h2", "price_basis": "raw"}),
+        EDGE: (None, {"min_coverage": 0.0}),
+    }
+)
 
 
-def _case_id(seed: int, volume_basis: str, beta_variant: str) -> str:
-    return f"seed{seed}-{volume_basis}-{beta_variant}"
-
-
-def run_digests(seed: int, volume_basis: str, beta_variant: str) -> dict[str, str]:
-    """sha256 of each file one demo run writes into ./out."""
-    config = RunConfig(
-        out="out",
-        seed=seed,
-        params=RunParams(volume_basis=volume_basis, beta_variant=beta_variant),
+def _edge_inputs() -> tuple[str, str]:
+    """bars.csv and splits.csv under ./inputs: one ticker with no pre-split
+    bar (so most metrics are absent) and a split of a ticker with no bars
+    (excluded)."""
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=400, daily_vol=0.0, volume_noise=0.0,
+                     split_day=140, split_ratio=2.0)
     )
+    Path("inputs").mkdir()
+    paths = ("inputs/bars.csv", "inputs/splits.csv")
+    write_bars(paths[0], [b for b in bars if b.date >= event.effective_date])
+    write_splits(paths[1], [event, SplitEvent("GHST", event.effective_date, 2.0)])
+    return paths
+
+
+def run_digests(case: str) -> dict[str, str]:
+    """sha256 of each file one run of ``case`` writes into ./out."""
+    seed, fields = CASES[case]
+    params = RunParams(**fields)
+    if seed is None:
+        bars, splits = _edge_inputs()
+        config = RunConfig(out="out", bars=bars, splits=splits, params=params)
+    else:
+        config = RunConfig(out="out", seed=seed, params=params)
     written = emit(run_pipeline(config), config.out)
+    assert len(written) == 1 + len(available_selectors(config.params))
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(written)
     }
 
 
-@pytest.mark.parametrize(
-    "seed,volume_basis,beta_variant", CASES, ids=[_case_id(*c) for c in CASES]
-)
-def test_outputs_match_golden_digests(
-    tmp_path, monkeypatch, seed, volume_basis, beta_variant
-):
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_match_golden_digests(tmp_path, monkeypatch, case):
     expected = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
     monkeypatch.chdir(tmp_path)
-    got = run_digests(seed, volume_basis, beta_variant)
-    assert len(got) == 21
-    assert got == expected[_case_id(seed, volume_basis, beta_variant)]
+    assert run_digests(case) == expected[case]
 
 
 if __name__ == "__main__":
@@ -70,7 +103,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
-                digests[_case_id(*case)] = run_digests(*case)
+                digests[case] = run_digests(case)
             finally:
                 os.chdir(origin)
     DIGEST_FILE.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
