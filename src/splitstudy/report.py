@@ -19,6 +19,8 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -317,6 +319,20 @@ def _maybe(analysis: SampleAnalysis, label: str, compute: Callable[[], Any]) -> 
         return None
 
 
+def _collect(
+    analysis: SampleAnalysis,
+    metrics: Iterable[tuple[Any, str, Callable[[], Any]]],
+) -> dict[Any, Any]:
+    """Run each ``(key, label, compute)`` metric of a keyed family through
+    ``_maybe``, in order; return the present results by key."""
+    results = {}
+    for key, label, compute in metrics:
+        value = _maybe(analysis, label, compute)
+        if value is not None:
+            results[key] = value
+    return results
+
+
 def analyze_sample(
     event: SplitEvent,
     window: EventWindow,
@@ -325,7 +341,10 @@ def analyze_sample(
     fundamentals: Sequence[FundamentalRecord],
     params: RunParams,
 ) -> SampleAnalysis:
-    """Compute all requested hypothesis metrics for one event."""
+    """Compute all requested hypothesis metrics for one event.
+
+    ``fundamentals`` are the records of the event's ticker.
+    """
     md = params.month_days
     analysis = SampleAnalysis(
         sample_id=f"{event.ticker}@{event.effective_date.isoformat()}",
@@ -361,47 +380,30 @@ def analyze_sample(
         analysis.volume_series = list(zip(offsets, volumes))
 
     if params.wants("h2"):
-        analysis.post_price_changes = {}
-        for months in POST_CHANGE_MONTHS:
-            pct = _maybe(
-                analysis, f"price_change_{months}m",
-                lambda m=months: price_change_pct(
-                    window, -1, m * md, params.price_field
-                ),
+        # The post-split changes of both families share their ranges.
+        change = cache(
+            lambda lo, hi: price_change_pct(window, lo, hi, params.price_field)
+        )
+        analysis.post_price_changes = _collect(analysis, (
+            (m, f"price_change_{m}m", lambda m=m: change(-1, m * md))
+            for m in POST_CHANGE_MONTHS
+        ))
+        analysis.around_price_changes = _collect(analysis, (
+            metric
+            for m in AROUND_SPLIT_MONTHS
+            for metric in (
+                (-m, f"price_change_pre_{m}m", lambda m=m: change(-m * md, -1)),
+                (m, f"price_change_post_{m}m", lambda m=m: change(-1, m * md)),
             )
-            if pct is not None:
-                analysis.post_price_changes[months] = pct
-        analysis.around_price_changes = {}
-        for months in AROUND_SPLIT_MONTHS:
-            pre = _maybe(
-                analysis, f"price_change_pre_{months}m",
-                lambda m=months: price_change_pct(
-                    window, -m * md, -1, params.price_field
-                ),
-            )
-            if pre is not None:
-                analysis.around_price_changes[-months] = pre
-            post = _maybe(
-                analysis, f"price_change_post_{months}m",
-                lambda m=months: price_change_pct(
-                    window, -1, m * md, params.price_field
-                ),
-            )
-            if post is not None:
-                analysis.around_price_changes[months] = post
-
-        analysis.value_factors = {}
-        for months in VALUE_FACTOR_MONTHS:
-            vf = _maybe(
-                analysis, f"value_factor_{months}m",
-                lambda m=months: value_factor(
-                    price_at(window, m * md, CLOSE)
-                    / price_at(window, -1, CLOSE, max_offset=-1),
-                    event.ratio,
-                ),
-            )
-            if vf is not None:
-                analysis.value_factors[months] = vf
+        ))
+        analysis.value_factors = _collect(analysis, (
+            (m, f"value_factor_{m}m", lambda m=m: value_factor(
+                price_at(window, m * md, CLOSE)
+                / price_at(window, -1, CLOSE, max_offset=-1),
+                event.ratio,
+            ))
+            for m in VALUE_FACTOR_MONTHS
+        ))
 
         if rates is not None:
             analysis.beta = _maybe(
@@ -413,41 +415,26 @@ def analyze_sample(
         else:
             analysis.notes.append("beta: no reference rate series provided")
         if analysis.beta is not None:
-            analysis.abnormal = []
-            for months in ABNORMAL_MONTHS:
-                for baseline in (FULL_PERIOD, DEMARCATION):
-                    result = _maybe(
-                        analysis, f"abnormal_{months}m_{baseline}",
-                        lambda m=months, b=baseline: abnormal_return(
-                            window,
-                            rates,
-                            m * md,
-                            beta_estimate=analysis.beta,
-                            baseline=b,
-                        ),
-                    )
-                    if result is not None:
-                        analysis.abnormal.append(result)
+            analysis.abnormal = list(_collect(analysis, (
+                ((m, b), f"abnormal_{m}m_{b}", lambda m=m, b=b: abnormal_return(
+                    window, rates, m * md, beta_estimate=analysis.beta, baseline=b
+                ))
+                for m in ABNORMAL_MONTHS
+                for b in (FULL_PERIOD, DEMARCATION)
+            )).values())
 
         _analyze_fundamentals(analysis, event, fundamentals)
 
     if params.wants("h3"):
-        analysis.gap_90 = {}
-        analysis.gap_half_year = {}
-        for basis in (RAW, SPLIT_ADJUSTED):
-            series_90 = _maybe(
-                analysis, f"gap_90_{basis}",
-                lambda b=basis: gap_series(window, -GAP_SPAN, GAP_SPAN, b),
-            )
-            if series_90 is not None:
-                analysis.gap_90[basis] = series_90
-            half = params.half_year_days
-            series_half = _maybe(
-                analysis, f"gap_half_year_{basis}",
-                lambda b=basis, h=half: gap_series(window, -h, h, b),
-            )
-            if series_half is not None:
-                analysis.gap_half_year[basis] = series_half
+        spans = {"gap_90": GAP_SPAN, "gap_half_year": params.half_year_days}
+        gaps = _collect(analysis, (
+            ((name, b), f"{name}_{b}", lambda h=h, b=b: gap_series(window, -h, h, b))
+            for b in (RAW, SPLIT_ADJUSTED)
+            for name, h in spans.items()
+        ))
+        analysis.gap_90, analysis.gap_half_year = (
+            {b: g for (n, b), g in gaps.items() if n == name} for name in spans
+        )
         analysis.volume_comparison_90 = _maybe(
             analysis, "volume_comparison_90",
             lambda: compare_volume(volume_window, GAP_SPAN),
@@ -465,10 +452,7 @@ def _analyze_fundamentals(
     event: SplitEvent,
     fundamentals: Sequence[FundamentalRecord],
 ) -> None:
-    records = sorted(
-        (r for r in fundamentals if r.ticker == event.ticker),
-        key=lambda r: r.fiscal_year,
-    )
+    records = sorted(fundamentals, key=lambda r: r.fiscal_year)
     if not records:
         analysis.notes.append("fundamentals: no records for ticker")
         return
@@ -477,13 +461,10 @@ def _analyze_fundamentals(
         analysis, "indexed_net_profit",
         lambda: indexed_net_profit(records, split_year),
     )
-    analysis.roe_by_year = {}
-    for record in records:
-        value = _maybe(
-            analysis, f"roe_{record.fiscal_year}", lambda r=record: roe(r)
-        )
-        if value is not None:
-            analysis.roe_by_year[record.fiscal_year] = value
+    analysis.roe_by_year = _collect(analysis, (
+        (r.fiscal_year, f"roe_{r.fiscal_year}", lambda r=r: roe(r))
+        for r in records
+    ))
     by_year = {r.fiscal_year: r for r in records}
     final_year = records[-1].fiscal_year
     if split_year in by_year and final_year != split_year:
@@ -564,8 +545,11 @@ def _aggregate(samples: list[SampleAnalysis]) -> dict[str, Any]:
     comparisons = [
         s.volume_comparison for s in samples if s.volume_comparison is not None
     ]
-    if comparisons:
+    try:
         before_share, after_share = aggregate_volume_share(comparisons)
+    except DataError:  # no comparison, or every volume is zero
+        pass
+    else:
         aggregate["volume_share"] = {
             "span": SHORT_SPAN,
             "before_share": before_share,
@@ -681,50 +665,69 @@ def _config_dict(config: RunConfig) -> dict[str, Any]:
     }
 
 
-def _comparison_dict(c: VolumeComparison | None, span: int, basis: str) -> Any:
-    if c is None:
+def _shape(result: Any, fields: Iterable[Any] = (), **context: Any) -> Any:
+    """One metric's JSON object, or None when the metric is absent.
+
+    The ``context`` keys (the span, range or basis the metric was computed
+    over) come first, then ``fields`` of ``result`` in order: an attribute
+    name, or a ``(key, get)`` pair whose value is ``get(result)``.
+    """
+    if result is None:
         return None
-    return {
-        "span": span,
-        "ranges": [[-span, -1], [1, span]],
-        "basis": basis,
-        "before_total": c.before_total,
-        "after_total": c.after_total,
-        "after_pct_of_before": c.after_pct_of_before,
-        "before_coverage": c.before_coverage,
-        "after_coverage": c.after_coverage,
-    }
+    for field_ in fields:
+        if type(field_) is str:
+            context[field_] = getattr(result, field_)
+        else:
+            key, get = field_
+            context[key] = get(result)
+    return context
 
 
-def _trend_dict(t: TrendFit | None, lo: int, hi: int, basis: str) -> Any:
-    if t is None:
+def _keyed(
+    family: dict[Any, Any] | None,
+    shape: Callable[[Any, Any], Any] = lambda key, value: value,
+) -> dict[str, Any] | None:
+    """A keyed family as a JSON object in key order, each value given by
+    ``shape(key, value)``; None when the family is absent."""
+    if family is None:
         return None
-    return {
-        "range": [lo, hi],
-        "basis": basis,
-        "slope": t.slope,
-        "intercept": t.intercept,
-        "normalized_slope_pct": t.normalized_slope_pct,
-        "n_points": t.n_points,
-    }
+    return {str(key): shape(key, value) for key, value in sorted(family.items())}
 
 
-def _gap_dict(g: GapSeries | None, lo: int, hi: int, with_series: bool) -> Any:
-    if g is None:
-        return None
-    out: dict[str, Any] = {
-        "range": [lo, hi],
-        "basis": g.basis,
-        "mean_gap_before": g.mean_gap_before,
-        "mean_gap_after": g.mean_gap_after,
-    }
-    if with_series:
-        out["series"] = [[o, v] for o, v in zip(g.offsets, g.gaps)]
-    return out
+def _points(pairs: Iterable[tuple[int, Any]] | None) -> list[list[Any]] | None:
+    """An ``(offset, value)`` series as JSON ``[offset, value]`` lists."""
+    return None if pairs is None else [[o, v] for o, v in pairs]
+
+
+_COMPARISON_FIELDS = (
+    "before_total", "after_total", "after_pct_of_before", "before_coverage",
+    "after_coverage",
+)
+_TREND_FIELDS = ("slope", "intercept", "normalized_slope_pct", "n_points")
+_GAP_FIELDS = ("basis", "mean_gap_before", "mean_gap_after")
+_ABNORMAL_FIELDS = ("baseline", "normal_return", "market_influenced_return", "abnormal")
 
 
 def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
     md = params.month_days
+    basis = params.volume_basis
+    half = params.half_year_days
+
+    def comparison(c: VolumeComparison | None, span: int) -> Any:
+        ranges = [[-span, -1], [1, span]]
+        return _shape(c, _COMPARISON_FIELDS, span=span, ranges=ranges, basis=basis)
+
+    def price_change(m: int, pct: float) -> dict[str, Any]:
+        lo_hi = [m * md, -1] if m < 0 else [-1, m * md]
+        return {"range": lo_hi, "price_field": params.price_field, "pct": pct}
+
+    def value_factor(m: int, vf: ValueFactor) -> dict[str, Any]:
+        fields = ("price_factor", "split_ratio", "value_factor")
+        return _shape(vf, fields, months=m, range=[-1, m * md], price_field=CLOSE)
+
+    def gap(lo: int, hi: int, *extra: Any) -> Callable[[str, GapSeries], Any]:
+        return lambda b, g: _shape(g, _GAP_FIELDS + extra, range=[lo, hi])
+
     out: dict[str, Any] = {
         "id": s.sample_id,
         "ticker": s.event.ticker,
@@ -735,140 +738,63 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
     }
     if params.wants("h1"):
         out["h1"] = {
-            "volume_comparison": _comparison_dict(
-                s.volume_comparison, SHORT_SPAN, params.volume_basis
+            "volume_comparison": comparison(s.volume_comparison, SHORT_SPAN),
+            "trend_before": _shape(
+                s.trend_before, _TREND_FIELDS, range=[-SHORT_SPAN, -1], basis=basis
             ),
-            "trend_before": _trend_dict(
-                s.trend_before, -SHORT_SPAN, -1, params.volume_basis
+            "trend_after": _shape(
+                s.trend_after, _TREND_FIELDS, range=[1, SHORT_SPAN], basis=basis
             ),
-            "trend_after": _trend_dict(
-                s.trend_after, 1, SHORT_SPAN, params.volume_basis
+            "period_averages": _shape(
+                s.period_avgs, ("price_field", "g1_avg", "g2_avg", "g3_avg"),
+                groups=[list(GROUP_1), list(GROUP_2), list(GROUP_3)],
             ),
-            "period_averages": None
-            if s.period_avgs is None
-            else {
-                "groups": [list(GROUP_1), list(GROUP_2), list(GROUP_3)],
-                "price_field": s.period_avgs.price_field,
-                "g1_avg": s.period_avgs.g1_avg,
-                "g2_avg": s.period_avgs.g2_avg,
-                "g3_avg": s.period_avgs.g3_avg,
-            },
         }
     if params.wants("h2"):
         out["h2"] = {
-            "price_changes_post": None
-            if s.post_price_changes is None
-            else {
-                str(m): {
-                    "range": [-1, m * md],
-                    "price_field": params.price_field,
-                    "pct": pct,
-                }
-                for m, pct in sorted(s.post_price_changes.items())
-            },
-            "price_changes_around": None
-            if s.around_price_changes is None
-            else {
-                str(m): {
-                    "range": [-abs(m) * md, -1] if m < 0 else [-1, m * md],
-                    "price_field": params.price_field,
-                    "pct": pct,
-                }
-                for m, pct in sorted(s.around_price_changes.items())
-            },
-            "value_factors": None
-            if s.value_factors is None
-            else {
-                str(m): {
-                    "months": m,
-                    "range": [-1, m * md],
-                    "price_field": CLOSE,
-                    "price_factor": vf.price_factor,
-                    "split_ratio": vf.split_ratio,
-                    "value_factor": vf.value_factor,
-                }
-                for m, vf in sorted(s.value_factors.items())
-            },
-            "beta": None
-            if s.beta is None
-            else {
-                "window": [-PRE_WINDOW_DAYS, -1],
-                "variant": s.beta.variant,
-                "beta": s.beta.beta,
-                "n_obs": s.beta.n_obs,
-            },
-            "abnormal_returns": None
-            if s.abnormal is None
-            else [
-                {
-                    "horizon_days": a.horizon,
-                    "months": a.horizon // md,
-                    "baseline": a.baseline,
-                    "normal_return": a.normal_return,
-                    "market_influenced_return": a.market_influenced_return,
-                    "abnormal": a.abnormal,
-                }
+            "price_changes_post": _keyed(s.post_price_changes, price_change),
+            "price_changes_around": _keyed(s.around_price_changes, price_change),
+            "value_factors": _keyed(s.value_factors, value_factor),
+            "beta": _shape(
+                s.beta, ("variant", "beta", "n_obs"), window=[-PRE_WINDOW_DAYS, -1]
+            ),
+            "abnormal_returns": None if s.abnormal is None else [
+                _shape(
+                    a, _ABNORMAL_FIELDS, horizon_days=a.horizon,
+                    months=a.horizon // md,
+                )
                 for a in s.abnormal
             ],
-            "indexed_net_profit": None
-            if s.indexed_profit is None
-            else {
-                "split_year": s.indexed_profit.split_year,
-                "indexed": {
-                    str(y): v for y, v in sorted(s.indexed_profit.indexed.items())
-                },
-                "total_diff": s.indexed_profit.total_diff,
-            },
-            "roe": None
-            if s.roe_by_year is None
-            else {
-                "by_year": {str(y): v for y, v in sorted(s.roe_by_year.items())},
-                "change_pp": s.roe_change_pp,
-                "change_years": list(s.roe_years) if s.roe_years else None,
-            },
-            "consistency": None
-            if s.consistency is None
-            else {
-                "price_change_pct": s.consistency.price_change_pct,
-                "profit_change_pct": s.consistency.profit_change_pct,
-                "roe_change_pp": s.consistency.roe_change_pct,
-                "consistent": s.consistency.consistent,
-            },
+            "indexed_net_profit": _shape(
+                s.indexed_profit,
+                ("split_year", ("indexed", lambda p: _keyed(p.indexed)), "total_diff"),
+            ),
+            "roe": _shape(
+                s.roe_by_year,
+                by_year=_keyed(s.roe_by_year),
+                change_pp=s.roe_change_pp,
+                change_years=list(s.roe_years) if s.roe_years else None,
+            ),
+            "consistency": _shape(
+                s.consistency,
+                ("price_change_pct", "profit_change_pct",
+                 ("roe_change_pp", lambda c: c.roe_change_pct), "consistent"),
+            ),
         }
     if params.wants("h3"):
-        half = params.half_year_days
+        series = ("series", lambda g: _points(zip(g.offsets, g.gaps)))
         out["h3"] = {
-            "gap_90": None
-            if s.gap_90 is None
-            else {
-                basis: _gap_dict(g, -GAP_SPAN, GAP_SPAN, with_series=True)
-                for basis, g in sorted(s.gap_90.items())
-            },
-            "gap_half_year": None
-            if s.gap_half_year is None
-            else {
-                basis: _gap_dict(g, -half, half, with_series=False)
-                for basis, g in sorted(s.gap_half_year.items())
-            },
-            "volume_comparison_90": _comparison_dict(
-                s.volume_comparison_90, GAP_SPAN, params.volume_basis
-            ),
-            "volume_comparison_half_year": _comparison_dict(
-                s.volume_comparison_half_year, half, params.volume_basis
+            "gap_90": _keyed(s.gap_90, gap(-GAP_SPAN, GAP_SPAN, series)),
+            "gap_half_year": _keyed(s.gap_half_year, gap(-half, half)),
+            "volume_comparison_90": comparison(s.volume_comparison_90, GAP_SPAN),
+            "volume_comparison_half_year": comparison(
+                s.volume_comparison_half_year, half
             ),
         }
     if params.wants("h1") or params.wants("h3"):
-        out["volume_series"] = (
-            None
-            if s.volume_series is None
-            else [[o, v] for o, v in s.volume_series]
-        )
+        out["volume_series"] = _points(s.volume_series)
     if params.wants("h1"):
-        out["price_series"] = (
-            None
-            if s.price_series is None
-            else [[o, v] for o, v in s.price_series]
-        )
+        out["price_series"] = _points(s.price_series)
     out["notes"] = s.notes
     return out
 
@@ -894,208 +820,169 @@ def _fig_group(offset: int) -> str:
     return "g3"
 
 
-def _rows_table1(samples, params) -> Iterator[list]:
-    yield ["sample", "ticker", "effective_date", "split_ratio"]
-    for s in samples:
-        yield [s.sample_id, s.event.ticker, s.event.effective_date.isoformat(),
-               _ratio(s.event.ratio)]
+def _csv(header: str, rows: Callable[..., Iterable[list]], *args: Any) -> Callable:
+    """A selector's renderer: the CSV header row (the column names in
+    ``header``), then the rows ``rows(*args, sample, params)`` of every
+    sample."""
+    columns = header.split()
+
+    def render(samples: Sequence[SampleAnalysis], params: RunParams) -> Iterator:
+        return chain(
+            (columns,), chain.from_iterable(rows(*args, s, params) for s in samples)
+        )
+
+    return render
 
 
-def _rows_fig1(samples, params) -> Iterator[list]:
-    yield ["sample", "before_total", "after_total", "after_pct_of_before"]
-    for s in samples:
-        c = s.volume_comparison
-        if c is not None:
-            yield [s.sample_id, c.before_total, c.after_total,
-                   _pct(c.after_pct_of_before)]
+def _volume_share_csv(samples, params) -> Iterator[list]:
+    # One aggregate row, absent when the shares are undefined.
+    yield ["before_share", "after_share"]
+    share = _aggregate(samples).get("volume_share")
+    if share is not None:
+        yield [_ratio(share["before_share"]), _ratio(share["after_share"])]
 
 
-def _rows_fig2(samples, params) -> list[list]:
-    # One aggregate row, computed before the file opens so that a DataError
-    # leaves no partial fig2.csv.
-    comparisons = [s.volume_comparison for s in samples if s.volume_comparison]
-    before_share, after_share = aggregate_volume_share(comparisons)
-    return [["before_share", "after_share"], [_ratio(before_share), _ratio(after_share)]]
+def _event_rows(s, params) -> Iterator[list]:
+    yield [s.sample_id, s.event.ticker, s.event.effective_date.isoformat(),
+           _ratio(s.event.ratio)]
 
 
-def _rows_fig3(samples, params) -> Iterator[list]:
-    yield ["sample", "offset", "volume"]
-    for s in samples:
-        for offset, volume in s.volume_series or []:
-            if -SHORT_SPAN <= offset <= SHORT_SPAN:
-                yield [s.sample_id, offset, volume]
+def _comparison_rows(attribute, s, params) -> Iterator[list]:
+    c = getattr(s, attribute)
+    if c is not None:
+        yield [s.sample_id, c.before_total, c.after_total,
+               _pct(c.after_pct_of_before)]
 
 
-def _rows_fig4(samples, params) -> Iterator[list]:
-    yield ["sample", "side", "slope", "intercept", "normalized_slope_pct"]
-    for s in samples:
-        for side, fit in (("before", s.trend_before), ("after", s.trend_after)):
-            if fit is not None:
-                yield [s.sample_id, side, _ratio(fit.slope), _ratio(fit.intercept),
-                       _pct(fit.normalized_slope_pct)]
+def _volume_rows(span, s, params) -> Iterator[list]:
+    for offset, volume in s.volume_series or []:
+        if -span <= offset <= span:
+            yield [s.sample_id, offset, volume]
 
 
-def _rows_fig5(samples, params) -> Iterator[list]:
-    yield ["sample", "offset", "group", "price"]
-    for s in samples:
-        for offset, price in s.price_series or []:
-            yield [s.sample_id, offset, _fig_group(offset), _ratio(price)]
+def _trend_rows(s, params) -> Iterator[list]:
+    for side, fit in (("before", s.trend_before), ("after", s.trend_after)):
+        if fit is not None:
+            yield [s.sample_id, side, _ratio(fit.slope), _ratio(fit.intercept),
+                   _pct(fit.normalized_slope_pct)]
 
 
-def _rows_fig6(samples, params) -> Iterator[list]:
-    yield ["sample", "g1_avg", "g2_avg", "g3_avg"]
-    for s in samples:
-        p = s.period_avgs
-        if p is not None:
-            yield [s.sample_id, _ratio(p.g1_avg), _ratio(p.g2_avg), _ratio(p.g3_avg)]
+def _price_rows(s, params) -> Iterator[list]:
+    for offset, price in s.price_series or []:
+        yield [s.sample_id, offset, _fig_group(offset), _ratio(price)]
 
 
-def _rows_fig7(samples, params) -> Iterator[list]:
-    yield ["sample", "months", "price_change_pct"]
-    for s in samples:
-        for months, pct in sorted((s.post_price_changes or {}).items()):
-            yield [s.sample_id, months, _pct(pct)]
+def _period_average_rows(s, params) -> Iterator[list]:
+    p = s.period_avgs
+    if p is not None:
+        yield [s.sample_id, _ratio(p.g1_avg), _ratio(p.g2_avg), _ratio(p.g3_avg)]
 
 
-def _rows_fig9(samples, params) -> Iterator[list]:
-    yield ["sample", "fiscal_year", "roe", "roe_change_pp"]
-    for s in samples:
-        for year, value in sorted((s.roe_by_year or {}).items()):
-            change = (
-                _pct(s.roe_change_pp)
-                if s.roe_years and year == s.roe_years[1]
-                else ""
-            )
-            yield [s.sample_id, year, _ratio(value), change]
+def _price_change_rows(attribute, s, params) -> Iterator[list]:
+    for months, pct in sorted((getattr(s, attribute) or {}).items()):
+        yield [s.sample_id, months, _pct(pct)]
 
 
-def _rows_fig10(samples, params) -> Iterator[list]:
-    yield ["sample", "months", "price_change_pct"]
-    for s in samples:
-        for months, pct in sorted((s.around_price_changes or {}).items()):
-            yield [s.sample_id, months, _pct(pct)]
+def _indexed_profit_rows(s, params) -> Iterator[list]:
+    row = s.indexed_profit
+    if row is not None:
+        for year, value in sorted(row.indexed.items()):
+            yield [s.sample_id, row.split_year, year, _pct(value), _pct(row.total_diff)]
 
 
-def _rows_abnormal(samples, params, baseline: str) -> Iterator[list]:
-    yield [
-        "sample", "months", "horizon_days", "normal_return",
-        "market_influenced_return", "abnormal_pct",
-    ]
-    for s in samples:
-        for a in s.abnormal or []:
-            if a.baseline != baseline:
-                continue
-            yield [
-                s.sample_id,
-                a.horizon // params.month_days,
-                a.horizon,
-                _ratio(a.normal_return),
-                _ratio(a.market_influenced_return),
-                _pct(100.0 * a.abnormal),
-            ]
+def _roe_rows(s, params) -> Iterator[list]:
+    for year, value in sorted((s.roe_by_year or {}).items()):
+        change = (
+            _pct(s.roe_change_pp) if s.roe_years and year == s.roe_years[1] else ""
+        )
+        yield [s.sample_id, year, _ratio(value), change]
 
 
-def _rows_fig13(samples, params) -> Iterator[list]:
-    yield ["sample", "offset", "gap_raw", "gap_split_adjusted"]
-    for s in samples:
-        raw = (s.gap_90 or {}).get(RAW)
-        adj = (s.gap_90 or {}).get(SPLIT_ADJUSTED)
-        if raw is None or adj is None:
-            continue
+def _abnormal_rows(baseline, s, params) -> Iterator[list]:
+    for a in s.abnormal or []:
+        if a.baseline == baseline:
+            yield [s.sample_id, a.horizon // params.month_days, a.horizon,
+                   _ratio(a.normal_return), _ratio(a.market_influenced_return),
+                   _pct(100.0 * a.abnormal)]
+
+
+def _gap_rows(s, params) -> Iterator[list]:
+    raw = (s.gap_90 or {}).get(RAW)
+    adj = (s.gap_90 or {}).get(SPLIT_ADJUSTED)
+    if raw is not None and adj is not None:
         adj_by_offset = dict(zip(adj.offsets, adj.gaps))
         for offset, gap in zip(raw.offsets, raw.gaps):
             yield [s.sample_id, offset, _ratio(gap), _ratio(adj_by_offset[offset])]
 
 
-def _rows_fig14(samples, params) -> Iterator[list]:
-    yield ["sample", "offset", "volume"]
-    for s in samples:
-        for offset, volume in s.volume_series or []:
-            yield [s.sample_id, offset, volume]
+def _gap_mean_rows(s, params) -> Iterator[list]:
+    for basis, g in sorted((s.gap_half_year or {}).items()):
+        yield [s.sample_id, basis, _ratio(g.mean_gap_before),
+               _ratio(g.mean_gap_after)]
 
 
-def _rows_fig15(samples, params) -> Iterator[list]:
-    yield ["sample", "basis", "mean_gap_before", "mean_gap_after"]
-    for s in samples:
-        for basis, g in sorted((s.gap_half_year or {}).items()):
-            yield [s.sample_id, basis, _ratio(g.mean_gap_before),
-                   _ratio(g.mean_gap_after)]
+def _consistency_rows(s, params) -> Iterator[list]:
+    c = s.consistency
+    if c is not None:
+        yield [s.sample_id, _pct(c.price_change_pct), _pct(c.profit_change_pct),
+               _pct(c.roe_change_pct), str(c.consistent).lower()]
 
 
-def _rows_fig16(samples, params) -> Iterator[list]:
-    yield ["sample", "before_total", "after_total", "after_pct_of_before"]
-    for s in samples:
-        c = s.volume_comparison_half_year
-        if c is not None:
-            yield [s.sample_id, c.before_total, c.after_total,
-                   _pct(c.after_pct_of_before)]
+def _beta_rows(s, params) -> Iterator[list]:
+    if s.beta is not None:
+        yield [s.sample_id, _ratio(s.beta.beta), s.beta.variant, s.beta.n_obs]
 
 
-def _rows_table2(samples, params) -> Iterator[list]:
-    yield ["sample", "split_year", "fiscal_year", "indexed_pct", "total_diff"]
-    for s in samples:
-        row = s.indexed_profit
-        if row is None:
-            continue
-        for year, value in sorted(row.indexed.items()):
-            yield [s.sample_id, row.split_year, year, _pct(value), _pct(row.total_diff)]
+_TOTALS = "sample before_total after_total after_pct_of_before"
+_CHANGES = "sample months price_change_pct"
+_ABNORMAL = (
+    "sample months horizon_days normal_return market_influenced_return abnormal_pct"
+)
+_INDEXED_PROFIT = (
+    "h2",
+    _csv("sample split_year fiscal_year indexed_pct total_diff", _indexed_profit_rows),
+)
 
-
-def _rows_table3(samples, params) -> Iterator[list]:
-    yield [
-        "sample", "price_change_pct", "profit_change_pct", "roe_change_pp",
-        "consistent",
-    ]
-    for s in samples:
-        c = s.consistency
-        if c is not None:
-            yield [
-                s.sample_id,
-                _pct(c.price_change_pct),
-                _pct(c.profit_change_pct),
-                _pct(c.roe_change_pct),
-                str(c.consistent).lower(),
-            ]
-
-
-def _rows_betas(samples, params) -> Iterator[list]:
-    yield ["sample", "beta", "variant", "n_obs"]
-    for s in samples:
-        if s.beta is not None:
-            yield [s.sample_id, _ratio(s.beta.beta), s.beta.variant, s.beta.n_obs]
-
-
-# selector -> (hypothesis, renderer); a renderer gives the CSV header row
-# and then the data rows, lazily except for fig2's single aggregate row.
-SELECTORS: dict[str, tuple[str, Callable]] = {
-    "table1": ("h1", _rows_table1),
-    "fig1": ("h1", _rows_fig1),
-    "fig2": ("h1", _rows_fig2),
-    "fig3": ("h1", _rows_fig3),
-    "fig4": ("h1", _rows_fig4),
-    "fig5": ("h1", _rows_fig5),
-    "fig6": ("h1", _rows_fig6),
-    "fig7": ("h2", _rows_fig7),
-    "fig8": ("h2", _rows_table2),
-    "fig9": ("h2", _rows_fig9),
-    "fig10": ("h2", _rows_fig10),
-    "fig11": ("h2", lambda s, p: _rows_abnormal(s, p, FULL_PERIOD)),
-    "fig12": ("h2", lambda s, p: _rows_abnormal(s, p, DEMARCATION)),
-    "fig13": ("h3", _rows_fig13),
-    "fig14": ("h3", _rows_fig14),
-    "fig15": ("h3", _rows_fig15),
-    "fig16": ("h3", _rows_fig16),
-    "table2": ("h2", _rows_table2),
-    "table3": ("h2", _rows_table3),
-    "betas": ("h2", _rows_betas),
+# selector -> (the hypothesis it needs, None for any; renderer). A renderer
+# yields the CSV header row and then the data rows.
+SELECTORS: dict[str, tuple[str | None, Callable]] = {
+    "table1": (None, _csv("sample ticker effective_date split_ratio", _event_rows)),
+    "fig1": ("h1", _csv(_TOTALS, _comparison_rows, "volume_comparison")),
+    "fig2": ("h1", _volume_share_csv),
+    "fig3": ("h1", _csv("sample offset volume", _volume_rows, SHORT_SPAN)),
+    "fig4": (
+        "h1", _csv("sample side slope intercept normalized_slope_pct", _trend_rows)
+    ),
+    "fig5": ("h1", _csv("sample offset group price", _price_rows)),
+    "fig6": ("h1", _csv("sample g1_avg g2_avg g3_avg", _period_average_rows)),
+    "fig7": ("h2", _csv(_CHANGES, _price_change_rows, "post_price_changes")),
+    "fig8": _INDEXED_PROFIT,
+    "fig9": ("h2", _csv("sample fiscal_year roe roe_change_pp", _roe_rows)),
+    "fig10": ("h2", _csv(_CHANGES, _price_change_rows, "around_price_changes")),
+    "fig11": ("h2", _csv(_ABNORMAL, _abnormal_rows, FULL_PERIOD)),
+    "fig12": ("h2", _csv(_ABNORMAL, _abnormal_rows, DEMARCATION)),
+    "fig13": ("h3", _csv("sample offset gap_raw gap_split_adjusted", _gap_rows)),
+    "fig14": ("h3", _csv("sample offset volume", _volume_rows, GAP_SPAN)),
+    "fig15": (
+        "h3", _csv("sample basis mean_gap_before mean_gap_after", _gap_mean_rows)
+    ),
+    "fig16": ("h3", _csv(_TOTALS, _comparison_rows, "volume_comparison_half_year")),
+    "table2": _INDEXED_PROFIT,
+    "table3": (
+        "h2",
+        _csv("sample price_change_pct profit_change_pct roe_change_pp consistent",
+             _consistency_rows),
+    ),
+    "betas": ("h2", _csv("sample beta variant n_obs", _beta_rows)),
 }
 
 
 def available_selectors(params: RunParams) -> list[str]:
+    """The selectors whose hypothesis the run computed, in emit order."""
     return [
         name
         for name, (hypothesis, _) in SELECTORS.items()
-        if params.wants(hypothesis) or name == "table1"
+        if hypothesis is None or params.wants(hypothesis)
     ]
 
 
@@ -1105,10 +992,27 @@ def emit(
     formats: Sequence[str] = ("json", "csv"),
     selectors: Sequence[str] | None = None,
 ) -> list[Path]:
-    """Write report.json and/or one CSV per figure/table selector."""
+    """Write report.json and/or one CSV per figure/table selector.
+
+    Every format and selector is checked before any file is written.
+    """
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown emit format {fmt!r}")
+    names: list[str] = []
+    if "csv" in formats:
+        available = available_selectors(report.params)
+        names = available if selectors is None else list(selectors)
+        for name in names:
+            if name not in SELECTORS:
+                raise ConfigError(
+                    f"unknown selector {name!r}; known: {sorted(SELECTORS)}"
+                )
+            if name not in available:
+                raise ConfigError(
+                    f"selector {name!r} needs hypothesis {SELECTORS[name][0]!r} "
+                    f"but the run computed {report.params.hypothesis!r}"
+                )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -1118,24 +1022,9 @@ def emit(
         path.write_text(report.to_json(), encoding="utf-8")
         written.append(path)
 
-    if "csv" in formats:
-        names = list(selectors) if selectors is not None else available_selectors(
-            report.params
-        )
-        for name in names:
-            if name not in SELECTORS:
-                raise ConfigError(
-                    f"unknown selector {name!r}; known: {sorted(SELECTORS)}"
-                )
-            hypothesis, renderer = SELECTORS[name]
-            if not (report.params.wants(hypothesis) or name == "table1"):
-                raise ConfigError(
-                    f"selector {name!r} needs hypothesis {hypothesis!r} but the "
-                    f"run computed {report.params.hypothesis!r}"
-                )
-            rows = renderer(report.samples, report.params)
-            path = out_dir / f"{name}.csv"
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows)
-            written.append(path)
+    for name in names:
+        path = out_dir / f"{name}.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(SELECTORS[name][1](report.samples, report.params))
+        written.append(path)
     return written

@@ -53,6 +53,19 @@ def test_unknown_selector_exit_code_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--emit", "fig1,bogus"], ["--hypothesis", "h2", "--emit", "table1,fig1"]],
+    ids=["unknown", "needs-h1"],
+)
+def test_rejected_selector_writes_no_output(tmp_path, args):
+    # Every selector is checked before report.json or any CSV is written.
+    code = main_with_args(["--seed", "3", "--out", str(tmp_path)] + args)
+    assert code == 1
+    assert not (tmp_path / "report.json").exists()
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def main_with_args(args):
     import sys
 

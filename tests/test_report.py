@@ -1,5 +1,6 @@
 """Pipeline orchestration, report determinism and emission."""
 
+import csv
 import dataclasses
 import functools
 import gc
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, NoSamplesError
+from splitstudy.ingest import write_bars, write_splits
 from splitstudy.models import SplitEvent, group_by_ticker
 from splitstudy.report import (
     HYPOTHESES,
@@ -20,7 +22,10 @@ from splitstudy.report import (
     AnalysisReport,
     RunConfig,
     RunParams,
+    _aggregate,
     _encode,
+    _pct,
+    _ratio,
     _sample_dict,
     analyze_universe,
     available_selectors,
@@ -274,6 +279,94 @@ def test_edge_reports_to_json_is_stdlib_indent():
         assert report.to_json() == _stdlib(report.to_dict()) + "\n"
 
 
+def _edge_report():
+    """An exclusion and a sample with no pre-split bar, so most metrics are
+    absent, on the default hypothesis."""
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=400, daily_vol=0.0, volume_noise=0.0,
+                     split_day=140, split_ratio=2.0)
+    )
+    from_day0 = [b for b in bars if b.date >= event.effective_date]
+    ghost = SplitEvent("GHST", event.effective_date, 2.0)
+    params = RunParams(min_coverage=0.0)
+    samples, exclusions = analyze_universe(
+        from_day0, [event, ghost], [], None, params
+    )
+    return AnalysisReport(
+        config={}, inputs={}, params=params, samples=samples,
+        aggregate=_aggregate(samples), exclusions=exclusions,
+    )
+
+
+def _rows_from_json(report):
+    """Each checked CSV's data rows, formatted from report.json's values."""
+    samples = report["samples"]
+    shares = report["aggregate"].get("volume_share")
+    rows = {
+        "fig2": [[_ratio(shares["before_share"]), _ratio(shares["after_share"])]]
+        if shares else [],
+    }
+    for name, section, key in (
+        ("fig1", "h1", "volume_comparison"),
+        ("fig16", "h3", "volume_comparison_half_year"),
+    ):
+        rows[name] = [
+            [s["id"], str(c["before_total"]), str(c["after_total"]),
+             _pct(c["after_pct_of_before"])]
+            for s in samples if (c := s[section][key])
+        ]
+    rows["fig4"] = [
+        [s["id"], side, _ratio(t["slope"]), _ratio(t["intercept"]),
+         _pct(t["normalized_slope_pct"])]
+        for s in samples
+        for side in ("before", "after") if (t := s["h1"][f"trend_{side}"])
+    ]
+    rows["fig6"] = [
+        [s["id"], *(_ratio(p[f"g{i}_avg"]) for i in (1, 2, 3))]
+        for s in samples if (p := s["h1"]["period_averages"])
+    ]
+    for name, key in (("fig7", "price_changes_post"), ("fig10", "price_changes_around")):
+        rows[name] = [
+            [s["id"], months, _pct(change["pct"])]
+            for s in samples for months, change in s["h2"][key].items()
+        ]
+    for name, baseline in (("fig11", "full_period"), ("fig12", "demarcation")):
+        rows[name] = [
+            [s["id"], str(a["months"]), str(a["horizon_days"]),
+             _ratio(a["normal_return"]), _ratio(a["market_influenced_return"]),
+             _pct(100.0 * a["abnormal"])]
+            for s in samples for a in s["h2"]["abnormal_returns"] or []
+            if a["baseline"] == baseline
+        ]
+    rows["fig15"] = [
+        [s["id"], basis, _ratio(g["mean_gap_before"]), _ratio(g["mean_gap_after"])]
+        for s in samples for basis, g in s["h3"]["gap_half_year"].items()
+    ]
+    rows["table3"] = [
+        [s["id"], _pct(c["price_change_pct"]), _pct(c["profit_change_pct"]),
+         _pct(c["roe_change_pp"]), str(c["consistent"]).lower()]
+        for s in samples if (c := s["h2"]["consistency"])
+    ]
+    rows["betas"] = [
+        [s["id"], _ratio(b["beta"]), b["variant"], str(b["n_obs"])]
+        for s in samples if (b := s["h2"]["beta"])
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("which", ["demo", "edge"])
+def test_csv_values_match_report_json(demo_report, which, tmp_path):
+    report = demo_report if which == "demo" else _edge_report()
+    emit(report, tmp_path)
+    expected = _rows_from_json(
+        json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    )
+    assert any(expected.values())
+    for name, rows in expected.items():
+        with (tmp_path / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == rows, name
+
+
 def _traced_peak(call):
     """The most memory ``call()`` held at once, in bytes, by tracemalloc."""
     tracemalloc.start()
@@ -357,6 +450,21 @@ def test_emit_writes_all_selectors(demo_report, tmp_path):
     assert before + after == pytest.approx(1.0, abs=1e-6)
     table1 = (tmp_path / "table1.csv").read_text().strip().splitlines()
     assert len(table1) == 10  # header + nine samples
+
+
+def test_all_zero_volume_universe_leaves_volume_share_absent(tmp_path):
+    # Zero volumes are valid input; the market-wide shares are undefined.
+    bars, event = generate_history(ScenarioSpec(seed=4, n_days=400, split_day=140))
+    write_bars(tmp_path / "bars.csv", [dataclasses.replace(b, volume=0) for b in bars])
+    write_splits(tmp_path / "splits.csv", [event])
+    report = run_pipeline(RunConfig(
+        bars=str(tmp_path / "bars.csv"), splits=str(tmp_path / "splits.csv"),
+        out=str(tmp_path),
+    ))
+    assert report.samples[0].volume_comparison.before_total == 0
+    assert "volume_share" not in report.aggregate
+    emit(report, tmp_path, selectors=["fig2"])
+    assert (tmp_path / "fig2.csv").read_text() == "before_share,after_share\n"
 
 
 def test_emit_unknown_selector(demo_report, tmp_path):
