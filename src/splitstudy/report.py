@@ -721,12 +721,13 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
         lo_hi = [m * md, -1] if m < 0 else [-1, m * md]
         return {"range": lo_hi, "price_field": params.price_field, "pct": pct}
 
-    def value_factor(m: int, vf: ValueFactor) -> dict[str, Any]:
+    def factor(m: int, vf: ValueFactor) -> dict[str, Any]:
         fields = ("price_factor", "split_ratio", "value_factor")
         return _shape(vf, fields, months=m, range=[-1, m * md], price_field=CLOSE)
 
-    def gap(lo: int, hi: int, *extra: Any) -> Callable[[str, GapSeries], Any]:
-        return lambda b, g: _shape(g, _GAP_FIELDS + extra, range=[lo, hi])
+    def gaps(family: dict[str, GapSeries] | None, span: int, *extra: Any) -> Any:
+        fields = _GAP_FIELDS + extra
+        return _keyed(family, lambda b, g: _shape(g, fields, range=[-span, span]))
 
     out: dict[str, Any] = {
         "id": s.sample_id,
@@ -754,7 +755,7 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
         out["h2"] = {
             "price_changes_post": _keyed(s.post_price_changes, price_change),
             "price_changes_around": _keyed(s.around_price_changes, price_change),
-            "value_factors": _keyed(s.value_factors, value_factor),
+            "value_factors": _keyed(s.value_factors, factor),
             "beta": _shape(
                 s.beta, ("variant", "beta", "n_obs"), window=[-PRE_WINDOW_DAYS, -1]
             ),
@@ -784,8 +785,8 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
     if params.wants("h3"):
         series = ("series", lambda g: _points(zip(g.offsets, g.gaps)))
         out["h3"] = {
-            "gap_90": _keyed(s.gap_90, gap(-GAP_SPAN, GAP_SPAN, series)),
-            "gap_half_year": _keyed(s.gap_half_year, gap(-half, half)),
+            "gap_90": gaps(s.gap_90, GAP_SPAN, series),
+            "gap_half_year": gaps(s.gap_half_year, half),
             "volume_comparison_90": comparison(s.volume_comparison_90, GAP_SPAN),
             "volume_comparison_half_year": comparison(
                 s.volume_comparison_half_year, half
