@@ -704,7 +704,6 @@ _COMPARISON_FIELDS = (
     "after_coverage",
 )
 _TREND_FIELDS = ("slope", "intercept", "normalized_slope_pct", "n_points")
-_GAP_FIELDS = ("basis", "mean_gap_before", "mean_gap_after")
 _ABNORMAL_FIELDS = ("baseline", "normal_return", "market_influenced_return", "abnormal")
 
 
@@ -726,7 +725,7 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
         return _shape(vf, fields, months=m, range=[-1, m * md], price_field=CLOSE)
 
     def gaps(family: dict[str, GapSeries] | None, span: int, *extra: Any) -> Any:
-        fields = _GAP_FIELDS + extra
+        fields = ("basis", "mean_gap_before", "mean_gap_after", *extra)
         return _keyed(family, lambda b, g: _shape(g, fields, range=[-span, span]))
 
     out: dict[str, Any] = {
