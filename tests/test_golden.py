@@ -35,7 +35,6 @@ from splitstudy.report import (
 from splitstudy.synthetic import ScenarioSpec, generate_history
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
-EDGE = "edge-absent-metrics"
 # case id -> (demo seed, or None for the edge universe; RunParams fields)
 CASES = {
     f"seed{seed}-{volume_basis}-{beta_variant}": (
@@ -52,7 +51,7 @@ CASES.update(
         "seed0-h3": (0, {"hypothesis": "h3"}),
         "seed0-price-raw": (0, {"price_basis": "raw"}),
         "seed0-h2-price-raw": (0, {"hypothesis": "h2", "price_basis": "raw"}),
-        EDGE: (None, {"min_coverage": 0.0}),
+        "edge-absent-metrics": (None, {"min_coverage": 0.0}),
     }
 )
 
