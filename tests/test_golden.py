@@ -4,7 +4,8 @@ Each case runs one universe with one set of parameters, in an empty
 working directory with relative paths, and compares the sha256 of every
 emitted file with ``golden_digests.json``. Most cases run the demo
 universe of one seed; ``edge-absent-metrics`` runs a universe with an
-excluded event and a sample whose metrics are mostly absent. A refactor
+excluded event and a sample whose metrics are mostly absent, and
+``quoted-ticker`` one whose ticker every CSV has to quote. A refactor
 that changes one output byte fails here.
 
 Regenerate the digests only for an intended output change:
@@ -35,25 +36,6 @@ from splitstudy.report import (
 from splitstudy.synthetic import ScenarioSpec, generate_history
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
-# case id -> (demo seed, or None for the edge universe; RunParams fields)
-CASES = {
-    f"seed{seed}-{volume_basis}-{beta_variant}": (
-        seed, {"volume_basis": volume_basis, "beta_variant": beta_variant}
-    )
-    for seed in (0, 1, 2)
-    for volume_basis in ("raw", "adjusted")
-    for beta_variant in ("cov", "corr")
-}
-CASES.update(
-    {
-        "seed0-h1": (0, {"hypothesis": "h1"}),
-        "seed0-h2": (0, {"hypothesis": "h2"}),
-        "seed0-h3": (0, {"hypothesis": "h3"}),
-        "seed0-price-raw": (0, {"price_basis": "raw"}),
-        "seed0-h2-price-raw": (0, {"hypothesis": "h2", "price_basis": "raw"}),
-        "edge-absent-metrics": (None, {"min_coverage": 0.0}),
-    }
-)
 
 
 def _edge_inputs() -> tuple[str, str]:
@@ -71,15 +53,51 @@ def _edge_inputs() -> tuple[str, str]:
     return paths
 
 
+def _quoted_inputs() -> tuple[str, str]:
+    """bars.csv and splits.csv under ./inputs: one ticker holding a comma
+    and a quote."""
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=400, split_day=140, split_ratio=2.0,
+                     ticker='A,"B')
+    )
+    Path("inputs").mkdir()
+    paths = ("inputs/bars.csv", "inputs/splits.csv")
+    write_bars(paths[0], bars)
+    write_splits(paths[1], [event])
+    return paths
+
+
+# case id -> (demo seed, or the function writing the inputs; RunParams fields)
+CASES = {
+    f"seed{seed}-{volume_basis}-{beta_variant}": (
+        seed, {"volume_basis": volume_basis, "beta_variant": beta_variant}
+    )
+    for seed in (0, 1, 2)
+    for volume_basis in ("raw", "adjusted")
+    for beta_variant in ("cov", "corr")
+}
+CASES.update(
+    {
+        "seed0-h1": (0, {"hypothesis": "h1"}),
+        "seed0-h2": (0, {"hypothesis": "h2"}),
+        "seed0-h3": (0, {"hypothesis": "h3"}),
+        "seed0-price-raw": (0, {"price_basis": "raw"}),
+        "seed0-h2-price-raw": (0, {"hypothesis": "h2", "price_basis": "raw"}),
+        "edge-absent-metrics": (_edge_inputs, {"min_coverage": 0.0}),
+        "quoted-ticker": (_quoted_inputs, {}),
+    }
+)
+
+
 def run_digests(case: str) -> dict[str, str]:
     """sha256 of each file one run of ``case`` writes into ./out."""
-    seed, fields = CASES[case]
+    source, fields = CASES[case]
     params = RunParams(**fields)
-    if seed is None:
-        bars, splits = _edge_inputs()
+    if callable(source):
+        bars, splits = source()
         config = RunConfig(out="out", bars=bars, splits=splits, params=params)
     else:
-        config = RunConfig(out="out", seed=seed, params=params)
+        config = RunConfig(out="out", seed=source, params=params)
     written = emit(run_pipeline(config), config.out)
     assert len(written) == 1 + len(available_selectors(config.params))
     return {
