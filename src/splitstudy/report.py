@@ -15,7 +15,6 @@ decimals, ratios with 6 significant digits).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -241,22 +240,20 @@ class AnalysisReport:
         return "".join(parts)
 
 
-_compact = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 _INF = float("inf")
 
 
 def _encode(o: Any, level: int) -> str:
     """``json.dumps(o, indent=2, allow_nan=False)`` indented for depth ``level``.
 
-    Stdlib skips its C encoder whenever ``indent`` is set, so the series of
-    ``[offset, value]`` lists are encoded compactly in C here and indented
-    by text replacement. That is exact because JSON text holds no raw
-    newline: a subtree at depth L is its depth-0 text with 2*L spaces after
-    each newline. Empty lists and dicts are written inline, as indent=2
-    writes them; calling stdlib for each would build an encoder whose
-    closures form a reference cycle. Everything else (other types and
-    subclasses, non-str keys, non-finite floats) goes to stdlib itself, so
-    its coercions and errors are kept.
+    Stdlib's indented encoder runs in Python, so a series of ``[offset,
+    value]`` lists (exactly an ``int``, then an ``int`` or a finite
+    ``float``) is checked whole and then written with one f-string per
+    point. Empty lists and dicts are written inline, as indent=2 writes
+    them; calling stdlib for each would build an encoder whose closures
+    form a reference cycle. Everything else (other types and subclasses,
+    non-str keys, non-finite floats) goes to stdlib itself, so its
+    coercions and errors are kept.
     """
     t = type(o)
     if t is str:
@@ -276,24 +273,16 @@ def _encode(o: Any, level: int) -> str:
     outer = "\n" + "  " * level
     inner = outer + "  "
     if t is list:
-        if all(type(e) is list for e in o):
-            text = _compact(o)
-            # No string (so no non-empty dict) and no empty or nested inner
-            # list: every comma and bracket is structure.
-            if (
-                '"' not in text
-                and "[]" not in text
-                and text.count("[") == len(o) + 1
-            ):
-                inner2 = inner + "  "
-                body = (
-                    text[1:-1]
-                    .replace(",", "," + inner2)
-                    .replace("]," + inner2 + "[", "]," + inner + "[")
-                    .replace("[", "[" + inner2)
-                    .replace("]", inner + "]")
-                )
-                return "[" + inner + body + outer + "]"
+        for e in o:
+            if type(e) is not list or len(e) != 2 or type(e[0]) is not int:
+                break
+            v = e[1]
+            if type(v) is not int and not (type(v) is float and -_INF < v < _INF):
+                break
+        else:
+            inner2 = inner + "  "
+            points = [f"{inner}[{inner2}{x!r},{inner2}{y!r}{inner}]" for x, y in o]
+            return "[" + ",".join(points) + outer + "]"
         items = [_encode(e, level + 1) for e in o]
         return "[" + inner + ("," + inner).join(items) + outer + "]"
     if t is dict and all(type(k) is str for k in o):
@@ -820,117 +809,126 @@ def _fig_group(offset: int) -> str:
     return "g3"
 
 
-def _csv(header: str, rows: Callable[..., Iterable[list]], *args: Any) -> Callable:
-    """A selector's renderer: the CSV header row (the column names in
-    ``header``), then the rows ``rows(*args, sample, params)`` of every
-    sample."""
-    columns = header.split()
+def _field(text: str) -> str:
+    """``text`` as one CSV field, as ``csv.writer`` writes it: quoted, with
+    its quotes doubled, only when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv(header: str, rows: Callable[..., Iterable[str]], *args: Any) -> Callable:
+    """A selector's renderer: the CSV header line (the column names in
+    ``header``), then the lines ``rows(*args, sid, sample, params)`` of every
+    sample, where ``sid`` is the sample id as a CSV field. Lines end in CRLF."""
+    head = header.replace(" ", ",") + "\r\n"
 
     def render(samples: Sequence[SampleAnalysis], params: RunParams) -> Iterator:
-        return chain(
-            (columns,), chain.from_iterable(rows(*args, s, params) for s in samples)
-        )
+        return chain((head,), chain.from_iterable(
+            rows(*args, _field(s.sample_id), s, params) for s in samples
+        ))
 
     return render
 
 
-def _volume_share_csv(samples, params) -> Iterator[list]:
+def _volume_share_csv(samples, params) -> Iterator[str]:
     # One aggregate row, absent when the shares are undefined.
-    yield ["before_share", "after_share"]
+    yield "before_share,after_share\r\n"
     share = _aggregate(samples).get("volume_share")
     if share is not None:
-        yield [_ratio(share["before_share"]), _ratio(share["after_share"])]
+        yield f"{_ratio(share['before_share'])},{_ratio(share['after_share'])}\r\n"
 
 
-def _event_rows(s, params) -> Iterator[list]:
-    yield [s.sample_id, s.event.ticker, s.event.effective_date.isoformat(),
-           _ratio(s.event.ratio)]
+def _event_rows(sid, s, params) -> Iterator[str]:
+    yield (f"{sid},{_field(s.event.ticker)},{s.event.effective_date.isoformat()},"
+           f"{_ratio(s.event.ratio)}\r\n")
 
 
-def _comparison_rows(attribute, s, params) -> Iterator[list]:
+def _comparison_rows(attribute, sid, s, params) -> Iterator[str]:
     c = getattr(s, attribute)
     if c is not None:
-        yield [s.sample_id, c.before_total, c.after_total,
-               _pct(c.after_pct_of_before)]
+        yield (f"{sid},{c.before_total},{c.after_total},"
+               f"{_pct(c.after_pct_of_before)}\r\n")
 
 
-def _volume_rows(span, s, params) -> Iterator[list]:
-    for offset, volume in s.volume_series or []:
-        if -span <= offset <= span:
-            yield [s.sample_id, offset, volume]
+def _volume_rows(span, sid, s, params) -> list[str]:
+    return [f"{sid},{offset},{volume}\r\n"
+            for offset, volume in s.volume_series or [] if -span <= offset <= span]
 
 
-def _trend_rows(s, params) -> Iterator[list]:
+def _trend_rows(sid, s, params) -> Iterator[str]:
     for side, fit in (("before", s.trend_before), ("after", s.trend_after)):
         if fit is not None:
-            yield [s.sample_id, side, _ratio(fit.slope), _ratio(fit.intercept),
-                   _pct(fit.normalized_slope_pct)]
+            yield (f"{sid},{side},{_ratio(fit.slope)},{_ratio(fit.intercept)},"
+                   f"{_pct(fit.normalized_slope_pct)}\r\n")
 
 
-def _price_rows(s, params) -> Iterator[list]:
-    for offset, price in s.price_series or []:
-        yield [s.sample_id, offset, _fig_group(offset), _ratio(price)]
+def _price_rows(sid, s, params) -> list[str]:
+    return [f"{sid},{offset},{_fig_group(offset)},{_ratio(price)}\r\n"
+            for offset, price in s.price_series or []]
 
 
-def _period_average_rows(s, params) -> Iterator[list]:
+def _period_average_rows(sid, s, params) -> Iterator[str]:
     p = s.period_avgs
     if p is not None:
-        yield [s.sample_id, _ratio(p.g1_avg), _ratio(p.g2_avg), _ratio(p.g3_avg)]
+        yield f"{sid},{_ratio(p.g1_avg)},{_ratio(p.g2_avg)},{_ratio(p.g3_avg)}\r\n"
 
 
-def _price_change_rows(attribute, s, params) -> Iterator[list]:
+def _price_change_rows(attribute, sid, s, params) -> Iterator[str]:
     for months, pct in sorted((getattr(s, attribute) or {}).items()):
-        yield [s.sample_id, months, _pct(pct)]
+        yield f"{sid},{months},{_pct(pct)}\r\n"
 
 
-def _indexed_profit_rows(s, params) -> Iterator[list]:
+def _indexed_profit_rows(sid, s, params) -> Iterator[str]:
     row = s.indexed_profit
     if row is not None:
         for year, value in sorted(row.indexed.items()):
-            yield [s.sample_id, row.split_year, year, _pct(value), _pct(row.total_diff)]
+            yield (f"{sid},{row.split_year},{year},{_pct(value)},"
+                   f"{_pct(row.total_diff)}\r\n")
 
 
-def _roe_rows(s, params) -> Iterator[list]:
+def _roe_rows(sid, s, params) -> Iterator[str]:
     for year, value in sorted((s.roe_by_year or {}).items()):
         change = (
             _pct(s.roe_change_pp) if s.roe_years and year == s.roe_years[1] else ""
         )
-        yield [s.sample_id, year, _ratio(value), change]
+        yield f"{sid},{year},{_ratio(value)},{change}\r\n"
 
 
-def _abnormal_rows(baseline, s, params) -> Iterator[list]:
+def _abnormal_rows(baseline, sid, s, params) -> Iterator[str]:
     for a in s.abnormal or []:
         if a.baseline == baseline:
-            yield [s.sample_id, a.horizon // params.month_days, a.horizon,
-                   _ratio(a.normal_return), _ratio(a.market_influenced_return),
-                   _pct(100.0 * a.abnormal)]
+            yield (f"{sid},{a.horizon // params.month_days},{a.horizon},"
+                   f"{_ratio(a.normal_return)},{_ratio(a.market_influenced_return)},"
+                   f"{_pct(100.0 * a.abnormal)}\r\n")
 
 
-def _gap_rows(s, params) -> Iterator[list]:
+def _gap_rows(sid, s, params) -> list[str]:
+    # Both bases are one window over [-GAP_SPAN, GAP_SPAN]: the same offsets.
     raw = (s.gap_90 or {}).get(RAW)
     adj = (s.gap_90 or {}).get(SPLIT_ADJUSTED)
-    if raw is not None and adj is not None:
-        adj_by_offset = dict(zip(adj.offsets, adj.gaps))
-        for offset, gap in zip(raw.offsets, raw.gaps):
-            yield [s.sample_id, offset, _ratio(gap), _ratio(adj_by_offset[offset])]
+    if raw is None or adj is None:
+        return []
+    return [f"{sid},{offset},{_ratio(gap)},{_ratio(gap_adj)}\r\n"
+            for offset, gap, gap_adj in zip(raw.offsets, raw.gaps, adj.gaps)]
 
 
-def _gap_mean_rows(s, params) -> Iterator[list]:
+def _gap_mean_rows(sid, s, params) -> Iterator[str]:
     for basis, g in sorted((s.gap_half_year or {}).items()):
-        yield [s.sample_id, basis, _ratio(g.mean_gap_before),
-               _ratio(g.mean_gap_after)]
+        yield (f"{sid},{basis},{_ratio(g.mean_gap_before)},"
+               f"{_ratio(g.mean_gap_after)}\r\n")
 
 
-def _consistency_rows(s, params) -> Iterator[list]:
+def _consistency_rows(sid, s, params) -> Iterator[str]:
     c = s.consistency
     if c is not None:
-        yield [s.sample_id, _pct(c.price_change_pct), _pct(c.profit_change_pct),
-               _pct(c.roe_change_pct), str(c.consistent).lower()]
+        yield (f"{sid},{_pct(c.price_change_pct)},{_pct(c.profit_change_pct)},"
+               f"{_pct(c.roe_change_pct)},{str(c.consistent).lower()}\r\n")
 
 
-def _beta_rows(s, params) -> Iterator[list]:
+def _beta_rows(sid, s, params) -> Iterator[str]:
     if s.beta is not None:
-        yield [s.sample_id, _ratio(s.beta.beta), s.beta.variant, s.beta.n_obs]
+        yield f"{sid},{_ratio(s.beta.beta)},{s.beta.variant},{s.beta.n_obs}\r\n"
 
 
 _TOTALS = "sample before_total after_total after_pct_of_before"
@@ -944,7 +942,7 @@ _INDEXED_PROFIT = (
 )
 
 # selector -> (the hypothesis it needs, None for any; renderer). A renderer
-# yields the CSV header row and then the data rows.
+# yields the CSV header line and then the data lines.
 SELECTORS: dict[str, tuple[str | None, Callable]] = {
     "table1": (None, _csv("sample ticker effective_date split_ratio", _event_rows)),
     "fig1": ("h1", _csv(_TOTALS, _comparison_rows, "volume_comparison")),
@@ -1025,6 +1023,6 @@ def emit(
     for name in names:
         path = out_dir / f"{name}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(SELECTORS[name][1](report.samples, report.params))
+            fh.writelines(SELECTORS[name][1](report.samples, report.params))
         written.append(path)
     return written

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import enum
 import functools
 import gc
+import io
 import json
 import math
 import random
@@ -16,6 +18,7 @@ from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, NoSamplesError
 from splitstudy.ingest import write_bars, write_splits
 from splitstudy.models import SplitEvent, group_by_ticker
+from splitstudy.prices import RAW, SPLIT_ADJUSTED
 from splitstudy.report import (
     HYPOTHESES,
     VOLUME_BASES,
@@ -24,6 +27,7 @@ from splitstudy.report import (
     RunParams,
     _aggregate,
     _encode,
+    _field,
     _pct,
     _ratio,
     _sample_dict,
@@ -184,8 +188,8 @@ def test_json_is_strict(demo_report):
     report = dataclasses.replace(demo_report, aggregate={"mean": float("nan")})
     with pytest.raises(ValueError, match="JSON compliant"):
         report.to_json()
-    # A non-finite value inside an [offset, value] series, which is encoded
-    # compactly before it is indented.
+    # A non-finite value inside an [offset, value] series, which is written
+    # point by point only when every value is finite.
     sample = dataclasses.replace(
         demo_report.samples[0], volume_series=[(0, 1), (1, float("inf"))]
     )
@@ -198,15 +202,35 @@ def _stdlib(value):
     return json.dumps(value, indent=2, allow_nan=False)
 
 
+class _Ordinal(enum.IntEnum):
+    ONE = 1
+
+
+class _Float(float):
+    def __repr__(self):  # stdlib writes float.__repr__ for any subclass
+        return f"_Float({float.__repr__(self)})"
+
+
 def json_values(floats):
-    """Nested report-like values: series of number lists among other shapes."""
-    numbers = st.integers(-(10**20), 10**20) | floats
+    """Nested report-like values: series of number lists among other shapes.
+
+    A series point is an ``[int, int | float]`` list, or a list with a bool,
+    None, an IntEnum member or a float subclass in it, or one of another
+    length; ``floats`` may hold nan and inf.
+    """
+    offsets = st.integers(-(10**20), 10**20)
+    numbers = offsets | floats
     text = st.text(
         st.sampled_from('a"[]{},:\n\\é€\x00') | st.characters(), max_size=6
     )
     scalars = st.none() | st.booleans() | numbers | text
-    series = st.lists(
-        st.lists(numbers | st.booleans() | st.none(), max_size=3), max_size=4
+    odd = st.booleans() | st.none() | st.just(_Ordinal.ONE) | floats.map(_Float)
+    point = st.tuples(offsets, numbers).map(list)
+    odd_point = (st.tuples(odd, numbers) | st.tuples(offsets, odd)).map(list)
+    series = (
+        st.lists(point, max_size=4)
+        | st.lists(point | odd_point, max_size=4)
+        | st.lists(st.lists(numbers | odd, max_size=3), max_size=4)
     )
     labelled = st.lists(st.lists(numbers | text | st.just({}), max_size=3), max_size=4)
     mixed = st.lists(
@@ -365,6 +389,27 @@ def test_csv_values_match_report_json(demo_report, which, tmp_path):
     for name, rows in expected.items():
         with (tmp_path / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
             assert list(csv.reader(fh))[1:] == rows, name
+
+
+@pytest.mark.parametrize(
+    "text", ["ACME", "A,B", 'A"B', "A\rB", "A\nB", " ACME", "", "Äkta€"]
+)
+def test_field_quotes_as_csv_writer_does(text):
+    out = io.StringIO()
+    csv.writer(out).writerow([text, 1])
+    assert _field(text) + ",1\r\n" == out.getvalue()
+
+
+@pytest.mark.parametrize("which", ["seed0", "seed1", "seed2", "edge"])
+def test_gap_bases_share_their_offsets(which, tmp_path):
+    # fig13 pairs the raw and split-adjusted gaps of a sample by position.
+    if which == "edge":
+        report = _edge_report()
+    else:
+        report = run_pipeline(RunConfig(out=str(tmp_path), seed=int(which[-1])))
+    assert report.samples
+    for s in report.samples:
+        assert s.gap_90[RAW].offsets == s.gap_90[SPLIT_ADJUSTED].offsets
 
 
 def _traced_peak(call):
