@@ -189,6 +189,23 @@ class ReferenceRateSeries:
         return self._by_date.get(date)
 
 
+@dataclass(frozen=True, slots=True)
+class OffsetSeries:
+    """Values at trading-day offsets: ``offsets`` (a ``range`` when taken
+    from an aligned window) and an ``array`` of ``values``, one per offset.
+    It iterates as ``(offset, value)`` pairs."""
+
+    offsets: Sequence[int]
+    values: array
+
+    def __post_init__(self) -> None:
+        if len(self.offsets) != len(self.values):
+            raise DataError("offsets and values must have equal length")
+
+    def __iter__(self) -> Iterator[tuple[int, int | float]]:
+        return zip(self.offsets, self.values)
+
+
 @dataclass(frozen=True)
 class EventWindow:
     """One ticker's bars numbered by trading-day offsets around a split.
@@ -225,6 +242,11 @@ class EventWindow:
         """The present offsets in [lo, hi] and the slice of ``bars`` rows at them."""
         start, stop = bisect_left(self.offsets, lo), bisect_right(self.offsets, hi)
         return self.offsets[start:stop], slice(start, stop)
+
+    def series(self, lo: int, hi: int, column: str) -> OffsetSeries:
+        """``column`` of ``bars`` at the present offsets in [lo, hi]."""
+        offsets, rows = self.between(lo, hi)
+        return OffsetSeries(offsets, getattr(self.bars, column)[rows])
 
     def bar_at(self, offset: int) -> TradingBar | None:
         rows = self.between(offset, offset)[1]

@@ -13,8 +13,12 @@ can be separated from split arithmetic. Reports carry both.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import sub
+from typing import Sequence
 
 from .errors import DataError
 from .models import EventWindow
@@ -57,19 +61,29 @@ class ValueFactor:
     value_factor: float
 
 
-@dataclass(frozen=True)
-class GapSeries:
-    """Per-offset high-low gaps over a range, with before/after mean summary.
+@dataclass(frozen=True, slots=True)
+class GapMeans:
+    """Mean high-low gap before and after day 0 over a range, on a basis.
 
-    Day 0 is excluded from both summary means, mirroring the volume
-    comparison convention. A gap is never negative: every bar has low <= high.
+    Day 0 is excluded from both means, mirroring the volume comparison
+    convention; a side with no bar has no mean. A gap is never negative:
+    every bar has low <= high.
     """
 
-    offsets: tuple[int, ...]
-    gaps: tuple[float, ...]
     basis: str
     mean_gap_before: float | None
     mean_gap_after: float | None
+
+
+@dataclass(frozen=True, slots=True)
+class GapSeries(GapMeans):
+    """Per-offset high-low gaps over a range, with their means.
+
+    ``offsets`` is a ``range`` when taken from an aligned window.
+    """
+
+    offsets: Sequence[int]
+    gaps: array
 
 
 def period_averages(
@@ -159,25 +173,40 @@ def value_factor(price_factor: float, split_ratio: float) -> ValueFactor:
     )
 
 
-def gap_series(
-    window: EventWindow, lo: int, hi: int, basis: str = RAW
-) -> GapSeries:
-    """Per-offset high-low gap over [lo, hi] on the chosen basis."""
+def _gaps(
+    window: EventWindow, lo: int, hi: int, basis: str
+) -> tuple[Sequence[int], array, GapMeans]:
+    """The present offsets in [lo, hi], their gaps on ``basis`` and the means."""
     if basis not in (RAW, SPLIT_ADJUSTED):
         raise DataError(f"unknown gap basis {basis!r}")
     offsets, rows = window.between(lo, hi)
     if not offsets:
         raise DataError(f"no bars in range [{lo}, {hi}]")
-    bars, ratio = window.bars, window.event.ratio
-    gaps = [high - low for high, low in zip(bars.high[rows], bars.low[rows])]
-    if basis == SPLIT_ADJUSTED:  # negative offsets are the pre-split dates
-        gaps = [g / ratio if o < 0 else g for g, o in zip(gaps, offsets)]
-    before = [g for o, g in zip(offsets, gaps) if o < 0]
-    after = [g for o, g in zip(offsets, gaps) if o > 0]
-    return GapSeries(
-        offsets=tuple(offsets),
-        gaps=tuple(gaps),
-        basis=basis,
-        mean_gap_before=sum(before) / len(before) if before else None,
-        mean_gap_after=sum(after) / len(after) if after else None,
+    bars = window.bars
+    gaps = array("d", map(sub, bars.high[rows], bars.low[rows]))
+    # Offsets increase, so the pre-split (negative) ones come first.
+    pre, post = bisect_left(offsets, 0), bisect_right(offsets, 0)
+    if basis == SPLIT_ADJUSTED:
+        ratio = window.event.ratio
+        gaps[:pre] = array("d", [g / ratio for g in gaps[:pre]])
+    before, after = gaps[:pre], gaps[post:]
+    return offsets, gaps, GapMeans(
+        basis,
+        sum(before) / len(before) if before else None,
+        sum(after) / len(after) if after else None,
     )
+
+
+def gap_series(
+    window: EventWindow, lo: int, hi: int, basis: str = RAW
+) -> GapSeries:
+    """Per-offset high-low gap over [lo, hi] on the chosen basis."""
+    offsets, gaps, means = _gaps(window, lo, hi, basis)
+    return GapSeries(
+        basis, means.mean_gap_before, means.mean_gap_after, offsets, gaps
+    )
+
+
+def gap_means(window: EventWindow, lo: int, hi: int, basis: str = RAW) -> GapMeans:
+    """``gap_series``' means, its errors included, without keeping its gaps."""
+    return _gaps(window, lo, hi, basis)[2]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain
@@ -40,6 +41,7 @@ from .models import (
     BarTable,
     EventWindow,
     FundamentalRecord,
+    OffsetSeries,
     ReferenceRateSeries,
     SplitEvent,
     TradingBar,
@@ -53,9 +55,11 @@ from .prices import (
     GROUP_3,
     RAW,
     SPLIT_ADJUSTED,
+    GapMeans,
     GapSeries,
     PeriodAverages,
     ValueFactor,
+    gap_means,
     gap_series,
     period_averages,
     price_at,
@@ -169,8 +173,8 @@ class SampleAnalysis:
     trend_before: TrendFit | None = None
     trend_after: TrendFit | None = None
     period_avgs: PeriodAverages | None = None
-    volume_series: list[tuple[int, int]] | None = None
-    price_series: list[tuple[int, float]] | None = None
+    volume_series: OffsetSeries | None = None
+    price_series: OffsetSeries | None = None
     # H2
     post_price_changes: dict[int, float] | None = None
     around_price_changes: dict[int, float] | None = None
@@ -184,7 +188,7 @@ class SampleAnalysis:
     consistency: TrendConsistency | None = None
     # H3
     gap_90: dict[str, GapSeries] | None = None
-    gap_half_year: dict[str, GapSeries] | None = None
+    gap_half_year: dict[str, GapMeans] | None = None
     volume_comparison_90: VolumeComparison | None = None
     volume_comparison_half_year: VolumeComparison | None = None
 
@@ -213,7 +217,7 @@ class AnalysisReport:
 
     def to_dict(self) -> dict[str, Any]:
         out = dict(self._top_level())
-        out["samples"] = [_sample_dict(s, self.params) for s in self.samples]
+        out["samples"] = [_sample_dict(s, self.params, _points) for s in self.samples]
         return out
 
     def to_json(self) -> str:
@@ -240,27 +244,24 @@ class AnalysisReport:
         return "".join(parts)
 
 
-_INF = float("inf")
-
-
 def _encode(o: Any, level: int) -> str:
     """``json.dumps(o, indent=2, allow_nan=False)`` indented for depth ``level``.
 
-    Stdlib's indented encoder runs in Python, so a series of ``[offset,
-    value]`` lists (exactly an ``int``, then an ``int`` or a finite
-    ``float``) is checked whole and then written with one f-string per
-    point. Empty lists and dicts are written inline, as indent=2 writes
-    them; calling stdlib for each would build an encoder whose closures
-    form a reference cycle. Everything else (other types and subclasses,
-    non-str keys, non-finite floats) goes to stdlib itself, so its
-    coercions and errors are kept.
+    Stdlib's indented encoder runs in Python, so an ``OffsetSeries`` whose
+    offsets are a ``range`` and values an ``array('q')`` or a finite
+    ``array('d')`` is written with one f-string per point (any other goes
+    through ``_points``). Empty lists and dicts are written inline, as
+    indent=2 writes them; calling stdlib for each would build an encoder
+    whose closures form a reference cycle. Everything else (other types and
+    subclasses, non-str keys, non-finite floats) goes to stdlib itself, so
+    its coercions and errors are kept.
     """
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
     if t is int:
         return int.__repr__(o)
-    if t is float and -_INF < o < _INF:
+    if t is float and math.isfinite(o):
         return float.__repr__(o)
     if o is None:
         return "null"
@@ -272,17 +273,16 @@ def _encode(o: Any, level: int) -> str:
         return "{}"
     outer = "\n" + "  " * level
     inner = outer + "  "
+    if t is OffsetSeries:
+        values, code = o.values, o.values.typecode
+        if not values or type(o.offsets) is not range or not (
+            code == "q" or code == "d" and all(map(math.isfinite, values))
+        ):
+            return _encode(_points(o), level)
+        inner2 = inner + "  "
+        points = [f"{inner}[{inner2}{x!r},{inner2}{y!r}{inner}]" for x, y in o]
+        return "[" + ",".join(points) + outer + "]"
     if t is list:
-        for e in o:
-            if type(e) is not list or len(e) != 2 or type(e[0]) is not int:
-                break
-            v = e[1]
-            if type(v) is not int and not (type(v) is float and -_INF < v < _INF):
-                break
-        else:
-            inner2 = inner + "  "
-            points = [f"{inner}[{inner2}{x!r},{inner2}{y!r}{inner}]" for x, y in o]
-            return "[" + ",".join(points) + outer + "]"
         items = [_encode(e, level + 1) for e in o]
         return "[" + inner + ("," + inner).join(items) + outer + "]"
     if t is dict and all(type(k) is str for k in o):
@@ -359,14 +359,10 @@ def analyze_sample(
             analysis, "period_averages",
             lambda: period_averages(window, params.price_field),
         )
-        offsets, rows = window.between(-91, 91)
-        prices = getattr(window.bars, params.price_field)[rows]
-        analysis.price_series = list(zip(offsets, prices))
+        analysis.price_series = window.series(-91, 91, params.price_field)
 
     if params.wants("h1") or params.wants("h3"):
-        offsets, rows = volume_window.between(-GAP_SPAN, GAP_SPAN)
-        volumes = volume_window.bars.volume[rows]
-        analysis.volume_series = list(zip(offsets, volumes))
+        analysis.volume_series = volume_window.series(-GAP_SPAN, GAP_SPAN, "volume")
 
     if params.wants("h2"):
         # The post-split changes of both families share their ranges.
@@ -415,11 +411,13 @@ def analyze_sample(
         _analyze_fundamentals(analysis, event, fundamentals)
 
     if params.wants("h3"):
-        spans = {"gap_90": GAP_SPAN, "gap_half_year": params.half_year_days}
+        # The half-year family is written only as its means.
+        spans = {"gap_90": (GAP_SPAN, gap_series),
+                 "gap_half_year": (params.half_year_days, gap_means)}
         gaps = _collect(analysis, (
-            ((name, b), f"{name}_{b}", lambda h=h, b=b: gap_series(window, -h, h, b))
+            ((name, b), f"{name}_{b}", lambda h=h, f=f, b=b: f(window, -h, h, b))
             for b in (RAW, SPLIT_ADJUSTED)
-            for name, h in spans.items()
+            for name, (h, f) in spans.items()
         ))
         analysis.gap_90, analysis.gap_half_year = (
             {b: g for (n, b), g in gaps.items() if n == name} for name in spans
@@ -683,9 +681,9 @@ def _keyed(
     return {str(key): shape(key, value) for key, value in sorted(family.items())}
 
 
-def _points(pairs: Iterable[tuple[int, Any]] | None) -> list[list[Any]] | None:
-    """An ``(offset, value)`` series as JSON ``[offset, value]`` lists."""
-    return None if pairs is None else [[o, v] for o, v in pairs]
+def _points(series: OffsetSeries | None) -> list[list[Any]] | None:
+    """A series as JSON ``[offset, value]`` lists."""
+    return None if series is None else [[o, v] for o, v in series]
 
 
 _COMPARISON_FIELDS = (
@@ -696,7 +694,8 @@ _TREND_FIELDS = ("slope", "intercept", "normalized_slope_pct", "n_points")
 _ABNORMAL_FIELDS = ("baseline", "normal_return", "market_influenced_return", "abnormal")
 
 
-def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
+def _sample_dict(s: SampleAnalysis, params: RunParams, points=lambda o: o) -> dict:
+    """One sample's JSON object, each ``OffsetSeries`` as ``points(series)``."""
     md = params.month_days
     basis = params.volume_basis
     half = params.half_year_days
@@ -713,7 +712,7 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
         fields = ("price_factor", "split_ratio", "value_factor")
         return _shape(vf, fields, months=m, range=[-1, m * md], price_field=CLOSE)
 
-    def gaps(family: dict[str, GapSeries] | None, span: int, *extra: Any) -> Any:
+    def gaps(family: dict[str, GapMeans] | None, span: int, *extra: Any) -> Any:
         fields = ("basis", "mean_gap_before", "mean_gap_after", *extra)
         return _keyed(family, lambda b, g: _shape(g, fields, range=[-span, span]))
 
@@ -771,7 +770,7 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
             ),
         }
     if params.wants("h3"):
-        series = ("series", lambda g: _points(zip(g.offsets, g.gaps)))
+        series = ("series", lambda g: points(OffsetSeries(g.offsets, g.gaps)))
         out["h3"] = {
             "gap_90": gaps(s.gap_90, GAP_SPAN, series),
             "gap_half_year": gaps(s.gap_half_year, half),
@@ -781,9 +780,9 @@ def _sample_dict(s: SampleAnalysis, params: RunParams) -> dict[str, Any]:
             ),
         }
     if params.wants("h1") or params.wants("h3"):
-        out["volume_series"] = _points(s.volume_series)
+        out["volume_series"] = points(s.volume_series)
     if params.wants("h1"):
-        out["price_series"] = _points(s.price_series)
+        out["price_series"] = points(s.price_series)
     out["notes"] = s.notes
     return out
 

@@ -5,18 +5,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitstudy.demo import demo_universe
 from splitstudy.errors import DataError
 from splitstudy.models import BarTable, EventWindow, SplitEvent
 from splitstudy.prices import (
     CLOSE,
     RAW,
     SPLIT_ADJUSTED,
+    gap_means,
     gap_series,
     period_averages,
     price_at,
     price_change_pct,
     value_factor,
 )
+from splitstudy.report import GAP_SPAN, RunParams
 from splitstudy.synthetic import ScenarioSpec, generate_history, trading_calendar
 from splitstudy.windows import align_to_event
 
@@ -137,7 +140,7 @@ def test_value_factor_algebra(pf, ratio):
 def test_gap_single_bar():
     window = window_for([10.0] * 3, split_index=1, highs=[11.0] * 3, lows=[9.0] * 3)
     series = gap_series(window, 0, 0, RAW)
-    assert series.gaps == (2.0,)
+    assert list(series.gaps) == [2.0]
     assert series.mean_gap_before is None and series.mean_gap_after is None
 
 
@@ -168,6 +171,53 @@ def test_gap_empty_range_and_bad_basis():
         gap_series(window, 40, 50, RAW)
     with pytest.raises(DataError, match="basis"):
         gap_series(window, -1, 1, "weird")
+
+
+def _event_windows(which):
+    """The aligned window of every event of a demo seed, or of the universe
+    whose one ticker has no pre-split bar."""
+    params = RunParams()
+    if which == "edge":
+        bars, event = generate_history(
+            ScenarioSpec(seed=4, n_days=400, daily_vol=0.0, volume_noise=0.0,
+                         split_day=140, split_ratio=2.0)
+        )
+        bars = [b for b in bars if b.date >= event.effective_date]
+        events, min_coverage = [event], 0.0
+    else:
+        bars, events, _, _ = demo_universe(seed=int(which[-1]))
+        min_coverage = params.min_coverage
+    table = BarTable.from_bars(bars)
+    return [
+        align_to_event(
+            table.series(e.ticker), e, params.pre_span, params.post_span, min_coverage
+        )
+        for e in events
+    ]
+
+
+@pytest.mark.parametrize("which", ["seed0", "seed1", "seed2", "edge"])
+def test_gap_means_equal_gap_series_means(which):
+    means_seen = []
+    spans = (GAP_SPAN, RunParams().half_year_days)
+    for window in _event_windows(which):
+        for basis in (RAW, SPLIT_ADJUSTED):
+            for span in spans:
+                series = gap_series(window, -span, span, basis)
+                means = gap_means(window, -span, span, basis)
+                assert means.basis == series.basis == basis
+                assert means.mean_gap_before == series.mean_gap_before
+                assert means.mean_gap_after == series.mean_gap_after
+                means_seen += (means.mean_gap_before, means.mean_gap_after)
+        for lo, hi, basis in ((-900, -800, RAW), (-1, 1, "weird")):
+            texts = []
+            for gaps in (gap_series, gap_means):
+                with pytest.raises(DataError) as caught:
+                    gaps(window, lo, hi, basis)
+                texts.append(str(caught.value))
+            assert texts[0] == texts[1]
+    # Only the edge window has a side with no bars.
+    assert (None in means_seen) == (which == "edge")
 
 
 def test_gaps_are_never_negative():

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, NoSamplesError
 from splitstudy.ingest import write_bars, write_splits
-from splitstudy.models import SplitEvent, group_by_ticker
+from splitstudy.models import BarTable, OffsetSeries, SplitEvent, group_by_ticker
 from splitstudy.prices import RAW, SPLIT_ADJUSTED
 from splitstudy.report import (
     HYPOTHESES,
@@ -29,6 +30,7 @@ from splitstudy.report import (
     _encode,
     _field,
     _pct,
+    _points,
     _ratio,
     _sample_dict,
     analyze_universe,
@@ -36,7 +38,7 @@ from splitstudy.report import (
     emit,
     run_pipeline,
 )
-from splitstudy.synthetic import ScenarioSpec, generate_history
+from splitstudy.synthetic import ScenarioSpec, generate_history, reference_rates
 from splitstudy.windows import align_to_event
 
 
@@ -188,14 +190,14 @@ def test_json_is_strict(demo_report):
     report = dataclasses.replace(demo_report, aggregate={"mean": float("nan")})
     with pytest.raises(ValueError, match="JSON compliant"):
         report.to_json()
-    # A non-finite value inside an [offset, value] series, which is written
-    # point by point only when every value is finite.
-    sample = dataclasses.replace(
-        demo_report.samples[0], volume_series=[(0, 1), (1, float("inf"))]
-    )
-    report = dataclasses.replace(demo_report, samples=[sample])
-    with pytest.raises(ValueError, match="JSON compliant"):
-        report.to_json()
+    # A non-finite value inside a series, which is written point by point
+    # only when every value is finite.
+    for bad in (math.inf, math.nan):
+        series = OffsetSeries(range(2), array("d", [1.0, bad]))
+        sample = dataclasses.replace(demo_report.samples[0], volume_series=series)
+        report = dataclasses.replace(demo_report, samples=[sample])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.to_json()
 
 
 def _stdlib(value):
@@ -268,6 +270,34 @@ def test_encode_rejects_what_stdlib_rejects(value):
             _encode(value, 0)
     else:
         assert _encode(value, 0) == expected
+
+
+SERIES_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1e-07, 1e16]
+)
+
+
+@st.composite
+def offset_series(draw):
+    """An ``OffsetSeries`` of ``array('q')`` or ``array('d')`` values, empty
+    ones included; the floats may be subnormal, huge or non-finite."""
+    if draw(st.booleans()):
+        values = array("q", draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5)))
+    else:
+        values = array("d", draw(st.lists(SERIES_FLOATS, max_size=5)))
+    start = draw(st.integers(-300, 300))
+    return OffsetSeries(range(start, start + len(values)), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_series(), st.integers(0, 4))
+def test_encode_series_matches_its_points(series, level):
+    if all(map(math.isfinite, series.values)):
+        assert _encode(series, level) == _encode(_points(series), level)
+    else:
+        for value in (series, _points(series)):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                _encode(value, level)
 
 
 @pytest.mark.parametrize("hypothesis", HYPOTHESES)
@@ -442,6 +472,28 @@ def test_csv_emit_peak_does_not_grow_with_samples(demo_report, tmp_path):
 
     peak(1)  # first calls fill caches
     assert peak(8) < 2 * peak(1)
+
+
+@pytest.mark.parametrize("n_tickers", [4, 16])
+def test_samples_retain_few_bytes_per_sample(n_tickers):
+    # A sample holds its series as arrays and the half-year gaps only as
+    # their means, so it keeps a few KB however many samples there are.
+    bars, events = [], []
+    for i in range(n_tickers):
+        spec = ScenarioSpec(seed=70 + i, n_days=540, split_day=270, ticker=f"T{i:02d}")
+        history, event = generate_history(spec)
+        bars.extend(history)
+        events.append(event)
+    table, rates = BarTable.from_bars(bars), reference_rates(bars[:540])
+    analyze_universe(table, events, [], rates, RunParams())  # first calls fill caches
+    tracemalloc.start()
+    try:
+        samples, _ = analyze_universe(table, events, [], rates, RunParams())
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == n_tickers
+    assert retained / n_tickers < 20_000
 
 
 def test_report_is_deterministic(demo_paths, tmp_path):
