@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .adjust import PRICES_AND_VOLUME, split_adjust
+from .adjust import split_adjust
 from .errors import ConfigError, CoverageError, DataError, NoSamplesError
 from .fundamentals import (
     IndexedProfitRow,
@@ -493,9 +493,7 @@ def analyze_universe(
         raise NoSamplesError("split calendar is empty")
     if not isinstance(bars, BarTable):
         bars = BarTable.from_bars(bars)
-    volume_bars = bars
-    if params.volume_basis == "adjusted":
-        volume_bars = split_adjust(bars, events, PRICES_AND_VOLUME)
+    events_by_ticker = group_by_ticker(events)
     fundamentals_by_ticker = group_by_ticker(fundamentals)
 
     spans = (params.pre_span, params.post_span, params.min_coverage)
@@ -505,14 +503,12 @@ def analyze_universe(
         sample_id = f"{event.ticker}@{event.effective_date.isoformat()}"
         try:
             window = align_to_event(bars.series(event.ticker), event, *spans)
-            volume_window = window
-            if volume_bars is not bars:
-                volume_window = align_to_event(
-                    volume_bars.series(event.ticker), event, *spans
-                )
         except CoverageError as exc:
             exclusions.append({"sample": sample_id, "reason": str(exc)})
             continue
+        volume_window = window
+        if params.volume_basis == "adjusted":
+            volume_window = split_adjust(window, events_by_ticker[event.ticker])
         samples.append(
             analyze_sample(
                 event, window, volume_window, rates,

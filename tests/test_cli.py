@@ -1,5 +1,6 @@
 """CLI surface: flags, config file, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,8 @@ from click.testing import CliRunner
 
 from splitstudy.cli import build_config, cli, load_config_file, main
 from splitstudy.errors import ConfigError
+from splitstudy.ingest import write_bars, write_splits
+from splitstudy.synthetic import ScenarioSpec, generate_history
 
 
 @pytest.fixture
@@ -44,6 +47,22 @@ def test_no_samples_exit_code_two(tmp_path):
         ["--bars", str(bars), "--splits", str(splits), "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_adjusted_volume_beyond_int64_exit_code_one(tmp_path, capsys):
+    bars, event = generate_history(ScenarioSpec(seed=4, n_days=400, split_day=140))
+    bars[100] = dataclasses.replace(bars[100], volume=2**63 - 2)  # doubled in-window
+    write_bars(tmp_path / "bars.csv", bars)
+    write_splits(tmp_path / "splits.csv", [event])
+    config = tmp_path / "adjusted.json"
+    config.write_text('{"version": 1, "volume_basis": "adjusted"}')
+    code = main_with_args(
+        ["--config", str(config), "--bars", str(tmp_path / "bars.csv"),
+         "--splits", str(tmp_path / "splits.csv"), "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: a split-adjusted volume exceeds the int64 range" in err
 
 
 def test_unknown_selector_exit_code_one(tmp_path):

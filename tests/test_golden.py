@@ -5,7 +5,9 @@ working directory with relative paths, and compares the sha256 of every
 emitted file with ``golden_digests.json``. Most cases run the demo
 universe of one seed; ``edge-absent-metrics`` runs a universe with an
 excluded event and a sample whose metrics are mostly absent, and
-``quoted-ticker`` one whose ticker every CSV has to quote. A refactor
+``quoted-ticker`` one whose ticker every CSV has to quote, and
+``stacked-adjusted`` one ticker with three splits on the adjusted volume
+basis, where the order in which stacked ratios multiply shows. A refactor
 that changes one output byte fails here.
 
 Regenerate the digests only for an intended output change:
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,35 @@ def _quoted_inputs() -> tuple[str, str]:
     return paths
 
 
+def _stacked_inputs() -> tuple[str, str]:
+    """bars.csv and splits.csv under ./inputs: one ticker split three times
+    with awkward ratios, the splits listed out of date order. Raw prices
+    and volumes carry every split; ``adj_close`` is the feed's."""
+    bars, first = generate_history(
+        ScenarioSpec(seed=6, n_days=900, base_volume=3 * 10**15,
+                     split_day=300, split_ratio=1.569)
+    )
+    events = [first]
+    for day, ratio in ((420, 3.0), (560, 1.45)):
+        events.append(SplitEvent(first.ticker, bars[day].date, ratio))
+        bars[:day] = [
+            replace(
+                b,
+                open=round(b.open * ratio, 4),
+                high=round(b.high * ratio, 4),
+                low=round(b.low * ratio, 4),
+                close=round(b.close * ratio, 4),
+                volume=max(1, round(b.volume / ratio)),
+            )
+            for b in bars[:day]
+        ]
+    Path("inputs").mkdir()
+    paths = ("inputs/bars.csv", "inputs/splits.csv")
+    write_bars(paths[0], bars)
+    write_splits(paths[1], [events[2], events[0], events[1]])
+    return paths
+
+
 # case id -> (demo seed, or the function writing the inputs; RunParams fields)
 CASES = {
     f"seed{seed}-{volume_basis}-{beta_variant}": (
@@ -85,6 +117,7 @@ CASES.update(
         "seed0-h2-price-raw": (0, {"hypothesis": "h2", "price_basis": "raw"}),
         "edge-absent-metrics": (_edge_inputs, {"min_coverage": 0.0}),
         "quoted-ticker": (_quoted_inputs, {}),
+        "stacked-adjusted": (_stacked_inputs, {"volume_basis": "adjusted"}),
     }
 )
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitstudy.demo import demo_universe, write_demo_universe
-from splitstudy.errors import ConfigError, NoSamplesError
+from splitstudy.errors import ConfigError, DataError, NoSamplesError
 from splitstudy.ingest import write_bars, write_splits
 from splitstudy.models import BarTable, OffsetSeries, SplitEvent, group_by_ticker
 from splitstudy.prices import RAW, SPLIT_ADJUSTED
@@ -564,6 +564,31 @@ def test_all_zero_volume_universe_leaves_volume_share_absent(tmp_path):
     assert (tmp_path / "fig2.csv").read_text() == "before_share,after_share\n"
 
 
+def _huge_volume_inputs(tmp_path, day):
+    """Inputs whose bar ``day``, before a ratio-2 split on day 140, trades
+    a volume that doubled exceeds int64."""
+    bars, event = generate_history(ScenarioSpec(seed=4, n_days=400, split_day=140))
+    bars[day] = dataclasses.replace(bars[day], volume=2**63 - 2)
+    write_bars(tmp_path / "bars.csv", bars)
+    write_splits(tmp_path / "splits.csv", [event])
+    return RunConfig(
+        bars=str(tmp_path / "bars.csv"), splits=str(tmp_path / "splits.csv"),
+        out=str(tmp_path), params=RunParams(volume_basis="adjusted"),
+    )
+
+
+def test_adjusted_volume_beyond_int64_in_window_is_rejected(tmp_path):
+    message = "^a split-adjusted volume exceeds the int64 range$"
+    with pytest.raises(DataError, match=message):
+        run_pipeline(_huge_volume_inputs(tmp_path, 100))
+
+
+def test_volume_outside_every_window_is_not_adjusted(tmp_path):
+    # The window starts 126 rows before day 0; bar 5 is in no window.
+    report = run_pipeline(_huge_volume_inputs(tmp_path, 5))
+    assert [s.sample_id for s in report.samples] == ["SYN@2013-07-16"]
+
+
 def test_emit_unknown_selector(demo_report, tmp_path):
     with pytest.raises(ConfigError, match="unknown selector"):
         emit(demo_report, tmp_path, selectors=["fig99"])
@@ -688,10 +713,8 @@ def test_sample_does_not_depend_on_other_tickers(
     assert _sample_dict(sample, params) == _sample_dict(expected, params)
 
 
-@pytest.mark.parametrize("volume_basis, passes", [("raw", 1), ("adjusted", 2)])
-def test_alignment_reads_each_event_tickers_bars_once(
-    monkeypatch, volume_basis, passes
-):
+@pytest.mark.parametrize("volume_basis", VOLUME_BASES)
+def test_alignment_reads_each_event_tickers_bars_once(monkeypatch, volume_basis):
     bars, events, fundamentals, rates = _demo()
     # a ticker without splits must never be handed to the aligner
     market, _ = generate_history(
@@ -710,5 +733,5 @@ def test_alignment_reads_each_event_tickers_bars_once(
         market + bars, events, fundamentals, rates,
         RunParams(hypothesis="h1", volume_basis=volume_basis),
     )
-    assert len(seen) == passes * len(events)
-    assert sum(seen) == passes * event_bars
+    assert len(seen) == len(events)
+    assert sum(seen) == event_bars
