@@ -50,6 +50,15 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
+def _integer(merged: dict, key: str, default: int | None) -> int | None:
+    """``merged[key]`` as an int; a bool or a number with a fractional part
+    is rejected rather than truncated, and a numeric string is parsed."""
+    value = merged.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
+
+
 def build_config(file_values: dict, flag_values: dict) -> RunConfig:
     """Merge config-file values with flag overrides into a RunConfig."""
     merged = dict(file_values)
@@ -64,6 +73,13 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
         raise ConfigError("emit must be a list of selector ids or 'all'")
     if emit_value == ["all"]:
         emit_value = None
+    if isinstance(merged.get("min_coverage"), bool):
+        raise ConfigError(
+            f"min_coverage must be a number, got {merged['min_coverage']!r}"
+        )
+    timestamp = merged.get("timestamp")
+    if timestamp is not None and not isinstance(timestamp, str):
+        raise ConfigError(f"timestamp must be a string, got {timestamp!r}")
 
     try:
         params = RunParams(
@@ -71,15 +87,15 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
             price_basis=merged.get("basis", "adjusted"),
             volume_basis=merged.get("volume_basis", "raw"),
             beta_variant=merged.get("beta_variant", "cov"),
-            month_days=int(merged.get("month_days", 21)),
+            month_days=_integer(merged, "month_days", 21),
             min_coverage=float(merged.get("min_coverage", 0.95)),
         )
+        seed = _integer(merged, "seed", None)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter value: {exc}")
 
-    seed = merged.get("seed")
     return RunConfig(
         bars=merged.get("bars"),
         splits=merged.get("splits"),
@@ -87,9 +103,9 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
         rates=merged.get("rates"),
         out=merged.get("out", "out"),
         params=params,
-        seed=int(seed) if seed is not None else None,
+        seed=seed,
         emit=tuple(emit_value) if emit_value is not None else None,
-        timestamp=merged.get("timestamp"),
+        timestamp=timestamp,
     )
 
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
+import os
 import re
 import sys
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .models import (
@@ -144,85 +146,286 @@ def _ticker(text: str, lineno: int) -> str:
 def parse_bars(path: str | Path) -> BarTable:
     """Read bars.csv into a validated BarTable, rows sorted by (ticker, date).
 
-    Each row is converted, checked by ``bar_ok`` and appended to the
-    columns; a ticker text is checked once. A row that fails, or repeats a
-    (ticker, date) key, is parsed again by ``_parse_bar_row``, which raises
-    for its first fault in field order. While keys strictly increase none
-    can repeat, so the keys read are collected only once a row leaves that
-    order; the rows are then sorted at the end.
+    Where the platform can fork and no other thread runs, a plain file is
+    read by two processes: this one reads the rows up to the first line end
+    past the middle byte while a forked child reads the rest and sends its
+    columns back over a pipe. A file is plain when its first line is
+    exactly the header and it holds no quote, so that every newline ends a
+    row. Everything else goes through the serial read, which alone raises,
+    numbers lines and sorts: a file that is not plain, and a fault, an
+    unsorted or repeated row, a decoding error or a failed child in either
+    half. The table is the same either way.
     """
-    dates: list[datetime.date] = []
-    prices = [array("d") for _ in PRICE_COLUMNS]
-    volumes = array("q")
-    runs: list[tuple[str, int]] = []  # (ticker, first row) of each run of a ticker
-
-    def spans() -> list[tuple[str, int, int]]:
-        stops = [start for _, start in runs[1:]] + [len(dates)]
-        return [(t, start, stop) for (t, start), stop in zip(runs, stops)]
-
-    def tickers() -> list[str]:  # the ticker of each row
-        return [t for t, start, stop in spans() for _ in range(start, stop)]
-
-    add_date = dates.append
-    add_open, add_high, add_low, add_close, add_adj_close = (p.append for p in prices)
-    add_volume = volumes.append
-    names: dict[str, str] = {}
-    days: dict[str, datetime.date] = {}
-    seen: set[tuple[str, datetime.date]] | None = None
-    ticker, last = "", datetime.date.min
+    path = Path(path)
+    if may_fork():
+        table = _parse_halves(path)
+        if table is not None:
+            return table
     with _csv_reader(path, BARS_HEADER) as reader:
-        end = reader.line_num  # the last line read before the current row
-        for row in reader:
-            try:
-                text, day, open_, high, low, close, adj_close, volume = row
-                name = names.get(text)
-                if name is None:
-                    name = names[text] = sys.intern(_ticker(text, end + 1))
-                date = days.get(day)
-                if date is None:
-                    date = days[day] = datetime.date.fromisoformat(day.strip())
-                open_ = float(open_)
-                high = float(high)
-                low = float(low)
-                close = float(close)
-                adj_close = float(adj_close)
-                volume = int(volume)
-                ok = bar_ok(open_, high, low, close, adj_close, volume)
-            except ValueError:  # DataError included
-                ok = False
-            if not (
-                ok and seen is None and (date > last if name is ticker else name > ticker)
-            ):
-                if not row:  # a blank line
-                    end = reader.line_num
-                    continue
-                if seen is None:
-                    seen = set(zip(tickers(), dates))
-                if not ok or (name, date) in seen:
-                    _parse_bar_row(end + 1, row, seen)  # raises for the row's fault
-                seen.add((name, date))
-            end = reader.line_num
-            if name is not ticker:
-                ticker = name
-                runs.append((name, len(dates)))
-            last = date
-            add_date(date)
-            add_open(open_)
-            add_high(high)
-            add_low(low)
-            add_close(close)
-            add_adj_close(adj_close)
-            add_volume(volume)
+        (dates, prices, volumes, runs), seen = _read_bars(reader, {}, strict=False)
     if seen is not None:  # some row left (ticker, date) order: sort the rows
-        keys = list(zip(tickers(), dates))
+        keys = list(zip(_row_tickers(runs, len(dates)), dates))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
         dates = [date for _, date in keys]
         prices = [array("d", [column[i] for i in order]) for column in prices]
         volumes = array("q", [volumes[i] for i in order])
         runs = [(t, i) for i, (t, _) in enumerate(keys) if not i or keys[i - 1][0] != t]
-    ranges = {t: range(start, stop) for t, start, stop in spans()}
+    return _table(dates, prices, volumes, runs)
+
+
+def _spans(runs: list[tuple[str, int]], n: int) -> list[tuple[str, int, int]]:
+    """(ticker, first row, stop row) of each run of ``n`` rows."""
+    stops = [start for _, start in runs[1:]] + [n]
+    return [(t, start, stop) for (t, start), stop in zip(runs, stops)]
+
+
+def _row_tickers(runs: list[tuple[str, int]], n: int) -> list[str]:
+    """The ticker of each of ``n`` rows."""
+    return [t for t, start, stop in _spans(runs, n) for _ in range(start, stop)]
+
+
+def _table(dates, prices, volumes, runs) -> BarTable:
+    ranges = {t: range(start, stop) for t, start, stop in _spans(runs, len(dates))}
     return BarTable(dates, prices, volumes, ranges)
+
+
+def _read_bars(reader: Any, days: dict[str, datetime.date], strict: bool):
+    """The rows of ``reader`` as columns ``(dates, prices, volumes, runs)``,
+    ``runs`` holding (ticker, first row) of each run of a ticker, and the
+    set of keys read, None while every key exceeded the one before.
+
+    Each row is converted, checked by ``bar_ok`` and appended to the
+    columns; a ticker text is checked once, and a date text parsed once
+    into ``days``. While keys strictly increase none can repeat, so the
+    keys read are collected only once a row fails or leaves that order.
+    From then on a row that fails, or repeats a key, is parsed again by
+    ``_parse_bar_row``, which raises for its first fault in field order.
+    With ``strict`` the first such row raises ``_NotPlain`` instead.
+    """
+    dates: list[datetime.date] = []
+    prices = [array("d") for _ in PRICE_COLUMNS]
+    volumes = array("q")
+    runs: list[tuple[str, int]] = []
+    add_date = dates.append
+    add_open, add_high, add_low, add_close, add_adj_close = (p.append for p in prices)
+    add_volume = volumes.append
+    names: dict[str, str] = {}
+    seen: set[tuple[str, datetime.date]] | None = None
+    ticker, last = "", datetime.date.min
+    end = reader.line_num  # the last line read before the current row
+    for row in reader:
+        try:
+            text, day, open_, high, low, close, adj_close, volume = row
+            name = names.get(text)
+            if name is None:
+                name = names[text] = sys.intern(_ticker(text, end + 1))
+            date = days.get(day)
+            if date is None:
+                date = days[day] = datetime.date.fromisoformat(day.strip())
+            open_ = float(open_)
+            high = float(high)
+            low = float(low)
+            close = float(close)
+            adj_close = float(adj_close)
+            volume = int(volume)
+            ok = bar_ok(open_, high, low, close, adj_close, volume)
+        except ValueError:  # DataError included
+            ok = False
+        if not (
+            ok and seen is None and (date > last if name is ticker else name > ticker)
+        ):
+            if not row:  # a blank line
+                end = reader.line_num
+                continue
+            if strict:
+                raise _NotPlain
+            if seen is None:
+                seen = set(zip(_row_tickers(runs, len(dates)), dates))
+            if not ok or (name, date) in seen:
+                _parse_bar_row(end + 1, row, seen)  # raises for the row's fault
+            seen.add((name, date))
+        end = reader.line_num
+        if name is not ticker:
+            ticker = name
+            runs.append((name, len(dates)))
+        last = date
+        add_date(date)
+        add_open(open_)
+        add_high(high)
+        add_low(low)
+        add_close(close)
+        add_adj_close(adj_close)
+        add_volume(volume)
+    return (dates, prices, volumes, runs), seen
+
+
+class _NotPlain(Exception):
+    """A quote or a row that only the serial read of bars.csv handles."""
+
+
+_HEADER = ",".join(BARS_HEADER).encode()
+_HEADER_LINES = (_HEADER, _HEADER + b"\n", _HEADER + b"\r\n")
+
+
+def _parse_halves(path: Path) -> BarTable | None:
+    """The table of a plain bars.csv read by this process and a forked child,
+    one half each; None when the file or either half is not plain."""
+    try:
+        with path.open("rb") as fh:
+            if fh.readline(len(_HEADER_LINES[-1])) not in _HEADER_LINES:
+                return None
+            start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+            fh.seek((start + size) // 2)
+            fh.readline()
+            cut = fh.tell()
+    except OSError:  # the serial read names the fault
+        return None
+    days: dict[str, datetime.date] = {}
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        with forked(lambda: _send_half(path, cut, size, sink)) as wait:
+            sink.close()
+            try:
+                columns = _read_half(path, start, cut, days)
+                follows = _receive_half(pipe, columns, days)
+            except (_NotPlain, csv.Error, UnicodeDecodeError, EOFError):
+                return None
+            if not follows or wait() != 0:
+                return None
+    return _table(*columns)
+
+
+class _Region(io.RawIOBase):
+    """Bytes [start, stop) of a file, raising ``_NotPlain`` at a quote:
+    without quotes every newline ends a row, so a region cut after one
+    holds whole rows."""
+
+    def __init__(self, path: Path, start: int, stop: int) -> None:
+        self._file = path.open("rb", buffering=0)
+        self._file.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int:
+        data = self._file.read(min(len(buffer), self._left))
+        if b'"' in data:
+            raise _NotPlain
+        self._left -= len(data)
+        buffer[: len(data)] = data
+        return len(data)
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _read_half(path: Path, start: int, stop: int, days: dict[str, datetime.date]):
+    """The columns of the rows in bytes [start, stop) of a plain bars.csv;
+    raises ``_NotPlain`` for a quote or a row the serial read must see."""
+    region = _Region(path, start, stop)
+    with io.TextIOWrapper(region, encoding="utf-8", newline="") as fh:
+        return _read_bars(csv.reader(fh), days, strict=True)[0]
+
+
+def _send_half(path: Path, start: int, stop: int, sink: Any) -> None:
+    """Read bytes [start, stop) of a plain bars.csv and write its columns to
+    ``sink`` as raw arrays: the row, run and ticker-byte counts, the price
+    and volume columns, the dates as ordinals, the first row of each run,
+    and the run tickers joined by newlines (a ticker holds no control
+    character)."""
+    dates, prices, volumes, runs = _read_half(path, start, stop, {})
+    tickers = "\n".join(t for t, _ in runs).encode()
+    array("q", (len(dates), len(runs), len(tickers))).tofile(sink)
+    for column in (*prices, volumes):
+        column.tofile(sink)
+    array("q", map(datetime.date.toordinal, dates)).tofile(sink)
+    array("q", (first for _, first in runs)).tofile(sink)
+    sink.write(tickers)
+    sink.flush()
+
+
+def _receive_half(pipe: Any, columns, days: dict[str, datetime.date]) -> bool:
+    """Append the half ``_send_half`` wrote to ``pipe`` to ``columns``, the
+    half before it; False when its first key does not follow their last.
+    Its dates are mapped through ``days``, so equal dates share one object."""
+    dates, prices, volumes, runs = columns
+    counts, ordinals, firsts = array("q"), array("q"), array("q")
+    counts.fromfile(pipe, 3)
+    n, n_runs, n_bytes = counts
+    for column in (*prices, volumes):
+        column.fromfile(pipe, n)
+    ordinals.fromfile(pipe, n)
+    firsts.fromfile(pipe, n_runs)
+    tickers = pipe.read(n_bytes)
+    if len(tickers) != n_bytes:
+        raise EOFError
+    known = {date.toordinal(): date for date in days.values()}
+    for ordinal in set(ordinals).difference(known):
+        known[ordinal] = datetime.date.fromordinal(ordinal)
+    head = len(dates)
+    dates += map(known.__getitem__, ordinals)
+    tail = [
+        (sys.intern(t), head + first)
+        for t, first in zip(tickers.decode().split("\n"), firsts)
+    ]
+    if runs and tail:
+        if (tail[0][0], dates[head]) <= (runs[-1][0], dates[head - 1]):
+            return False
+        if tail[0][0] == runs[-1][0]:  # a ticker straddles the cut
+            del tail[0]
+    runs += tail
+    return True
+
+
+def may_fork() -> bool:
+    """Whether this process may fork a second one: the platform has fork and
+    no other thread runs, since a lock another thread holds at the fork
+    stays locked in the child."""
+    threading = sys.modules.get("threading")
+    return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+
+
+@contextmanager
+def forked(work: Callable[[], object]) -> Iterator[Callable[[], int]]:
+    """Run ``work`` in a forked child while the ``with`` block runs.
+
+    The block gets a function that waits for the child and returns its exit
+    code: 0 when ``work`` returned, 1 when it raised or no process could be
+    forked. The child ends in ``os._exit``, so it never returns into the
+    caller, flushes stdio or runs exit handlers. A child the block did not
+    wait for is killed when the block ends, by an exception too, and the
+    child is always reaped.
+    """
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller finds the work undone
+        pid = -1
+    if pid == 0:
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    exit_code = 1 if pid < 0 else None
+
+    def wait() -> int:
+        nonlocal exit_code
+        if exit_code is None:
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return exit_code
+
+    try:
+        yield wait
+    finally:
+        if exit_code is None:
+            from signal import SIGKILL  # only here: keeps the import out of start-up
+
+            os.kill(pid, SIGKILL)
+            wait()
 
 
 def _parse_bar_row(

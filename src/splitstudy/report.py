@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain
@@ -36,7 +37,14 @@ from .fundamentals import (
     roe,
     roe_change,
 )
-from .ingest import parse_bars, parse_fundamentals, parse_rates, parse_splits
+from .ingest import (
+    forked,
+    may_fork,
+    parse_bars,
+    parse_fundamentals,
+    parse_rates,
+    parse_splits,
+)
 from .models import (
     BarTable,
     EventWindow,
@@ -987,7 +995,13 @@ def emit(
 ) -> list[Path]:
     """Write report.json and/or one CSV per figure/table selector.
 
-    Every format and selector is checked before any file is written.
+    Every format and selector is checked before any file is written. When
+    both formats are written and ``ingest.may_fork`` allows, a forked child
+    writes the CSVs while this process writes report.json; a child that
+    fails leaves them to this process, which then raises what it meets.
+    CSV-only and JSON-only output is written by this process alone. The
+    files are the same either way, except that CSVs the child wrote stay
+    when report.json cannot be written.
     """
     for fmt in formats:
         if fmt not in ("json", "csv"):
@@ -1008,16 +1022,19 @@ def emit(
                 )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    json_paths = [out_dir / "report.json"] if "json" in formats else []
+    csv_paths = [out_dir / f"{name}.csv" for name in names]
 
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(report.to_json(), encoding="utf-8")
-        written.append(path)
+    def write_csvs() -> None:
+        for name, path in zip(names, csv_paths):
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                fh.writelines(SELECTORS[name][1](report.samples, report.params))
 
-    for name in names:
-        path = out_dir / f"{name}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.writelines(SELECTORS[name][1](report.samples, report.params))
-        written.append(path)
-    return written
+    in_child = json_paths and csv_paths and may_fork()
+    with forked(write_csvs) if in_child else nullcontext() as wait:
+        for path in json_paths:
+            path.write_text(report.to_json(), encoding="utf-8")
+        csvs_written = wait is not None and wait() == 0
+    if not csvs_written:
+        write_csvs()
+    return json_paths + csv_paths

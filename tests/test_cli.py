@@ -166,3 +166,34 @@ def test_timestamp_pinning(tmp_path, runner):
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["generated_at"] == "2026-08-08T00:00:00Z"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"month_days": 21.7}, "month_days must be an integer, got 21.7"),
+        ({"month_days": True}, "month_days must be an integer, got True"),
+        ({"seed": 2.9}, "seed must be an integer, got 2.9"),
+        ({"min_coverage": True}, "min_coverage must be a number, got True"),
+        ({"timestamp": 5}, "timestamp must be a string, got 5"),
+    ],
+)
+def test_config_values_are_rejected_not_coerced(tmp_path, capsys, values, message):
+    with pytest.raises(ConfigError) as exc_info:
+        build_config({"version": 1, **values}, {})
+    assert str(exc_info.value) == message
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "seed": 1, **values}))
+    assert main_with_args(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_numbers_given_as_whole_numbers_or_strings_are_accepted():
+    config = build_config(
+        {"version": 1, "month_days": 21.0, "seed": "7", "min_coverage": "0.9"}, {}
+    )
+    assert (config.params.month_days, config.seed) == (21, 7)
+    assert config.params.min_coverage == 0.9
+    config = build_config({"version": 1, "month_days": "20", "min_coverage": 1}, {})
+    assert (config.params.month_days, config.params.min_coverage) == (20, 1.0)

@@ -1,15 +1,19 @@
 """CSV parsing, validation errors and round-trip losslessness."""
 
 import datetime
+import os
 import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitstudy import ingest
 from splitstudy.cli import main
 from splitstudy.errors import DataError
 from splitstudy.ingest import (
@@ -583,3 +587,165 @@ def test_round_trip_rate_values_lossless(values):
         path = Path(tmp) / "rates.csv"
         write_rates(path, series)
         assert parse_rates(path) == series
+
+
+# The two-process read of bars.csv (parse_bars with a forked child) against
+# the serial read. Five data rows of equal length put the cut after the
+# third: the middle byte of the rows falls inside it.
+ROW = "{},2013-06-{:02d},10,11,9,10.5,10.5,1000"
+
+
+def _rows(*keys, bad=()):
+    """Rows of equal length for (ticker, day) keys; rows whose index is in
+    ``bad`` get an unparsable open price of the same length."""
+    rows = [ROW.format(t, d) for t, d in keys]
+    for i in bad:
+        rows[i] = rows[i].replace(",10,", ",xx,", 1)
+    return rows
+
+
+STRAIGHT = (("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 3))
+
+
+def _lines(rows, eol="\n", end="\n"):
+    return eol + eol.join(rows) + end
+
+
+TWO_PROCESS_CASES = {
+    # id: (text after the header, whether two processes read it to the end,
+    #      the DataError it raises or None)
+    "straddling-ticker": (_lines(_rows(*STRAIGHT)), True, None),
+    "fault-before-cut": (_lines(_rows(*STRAIGHT, bad=[2])), False,
+                         "line 4: bad open 'xx'"),
+    "fault-after-cut": (_lines(_rows(*STRAIGHT, bad=[3])), False,
+                        "line 5: bad open 'xx'"),
+    "faults-in-both-halves": (_lines(_rows(*STRAIGHT, bad=[1, 4])), False,
+                              "line 3: bad open 'xx'"),
+    "duplicate-across-cut": (
+        _lines(_rows(("A", 3), ("A", 4), ("A", 5), ("A", 5), ("B", 3))), False,
+        "line 5: duplicate bar for A on 2013-06-05",
+    ),
+    "unsorted-across-cut": (
+        _lines(_rows(("A", 3), ("A", 4), ("B", 5), ("A", 6), ("B", 6))), False, None
+    ),
+    "quoted-ticker": (_lines(_rows(*STRAIGHT)).replace("\nB,", '\n"B",'), False, None),
+    "crlf": (_lines(_rows(*STRAIGHT), "\r\n", "\r\n"), True, None),
+    "crlf-then-lf": (_lines(_rows(*STRAIGHT[:3]), "\r\n")
+                     + _lines(_rows(*STRAIGHT[3:]))[1:], True, None),
+    "no-trailing-newline": (_lines(_rows(*STRAIGHT), end=""), True, None),
+    "blank-lines": ("\n" + _lines(_rows(*STRAIGHT), "\n\n\r\n", "\n\n"), True, None),
+    "bom-in-ticker": (_lines(_rows(*STRAIGHT[:4], ("\ufeffB", 3))), True, None),
+    "lone-cr": ("\n" + "\r".join(_rows(*STRAIGHT[:3])) + "\n"
+                + "\r".join(_rows(*STRAIGHT[3:])) + "\r", True, None),
+    "header-only": ("\n", True, None),
+    "header-only-no-newline": ("", True, None),
+    "one-row": (_lines(_rows(("A", 3))), True, None),
+}
+
+
+def _table_outcome(path):
+    """parse_bars(path) as comparable columns, or its DataError's text."""
+    try:
+        table = parse_bars(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    columns = [list(getattr(table, name)) for name in ("open", "high", "low", "close",
+                                                        "adj_close", "volume")]
+    return table.dates, columns, list(table.ranges.items())
+
+
+def _outcomes(path):
+    """The outcome of the two-process read, whether it was the one that
+    produced it, and the outcome of the serial read."""
+    serial_reads = mock.patch.object(ingest, "_csv_reader", wraps=ingest._csv_reader)
+    with mock.patch("os.fork", wraps=os.fork) as fork, serial_reads as serial:
+        outcome = _table_outcome(path)
+    two_process = fork.call_count == 1 and serial.call_count == 0
+    with mock.patch.object(ingest, "may_fork", return_value=False):
+        return outcome, two_process, _table_outcome(path)
+
+
+@pytest.mark.parametrize("case", TWO_PROCESS_CASES)
+def test_two_process_parse_matches_serial(tmp_path, case):
+    text, two_processes, error = TWO_PROCESS_CASES[case]
+    path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE.rstrip("\n") + text)
+    outcome, two_process, serial = _outcomes(path)
+    assert outcome == serial
+    assert two_process == two_processes
+    if error is None:
+        assert len(serial[0]) == len(text.split())  # every row read
+    else:
+        assert serial == f"DataError: {error}"
+
+
+def test_bom_before_header_is_left_to_the_serial_read(tmp_path):
+    path = _write(tmp_path, "bars.csv", "\ufeff" + BARS_HEADER_LINE + _rows(("A", 3))[0])
+    outcome, two_process, serial = _outcomes(path)
+    assert outcome == serial and serial.startswith("DataError: ") and "header" in serial
+    assert not two_process
+
+
+EOLS = ("\n", "\r\n", "\r")
+
+
+@settings(max_examples=200, deadline=None)
+@given(bars_rows(), st.data())
+def test_two_process_parse_matches_serial_on_any_rows(rows, data):
+    lines = [",".join(row) for row in rows]
+    if lines and data.draw(st.booleans()):  # quote one ticker
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = '"' + lines[i].replace(",", '",', 1)
+    text = BARS_HEADER_LINE + "".join(
+        line + data.draw(st.sampled_from(EOLS)) for line in lines
+    )
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bars.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome, two_process, serial = _outcomes(path)
+    assert outcome == serial
+    keys = [(row[0].strip(), row[1].strip()) for row in rows if row]
+    plain = '"' not in text and not isinstance(serial, str) and keys == sorted(set(keys))
+    assert two_process == plain
+
+
+def test_parse_bars_leaves_no_child_process(tmp_path):
+    rows = _rows(*STRAIGHT)
+    path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
+    assert len(parse_bars(path)) == 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    rows = _rows(*STRAIGHT, bad=[4])  # a fault in the child's half
+    path = _write(tmp_path, "bad.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
+    with mock.patch("os.fork", wraps=os.fork) as fork:
+        with pytest.raises(DataError, match="^line 6: bad open 'xx'$"):
+            parse_bars(path)
+    assert fork.call_count == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parse_bars_does_not_fork_while_another_thread_runs(tmp_path):
+    rows = _rows(*STRAIGHT)
+    path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with mock.patch("os.fork", side_effect=AssertionError("forked")):
+            assert len(parse_bars(path)) == 5
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_parse_bars_reads_alone_when_no_process_can_be_forked(tmp_path):
+    rows = _rows(*STRAIGHT)
+    path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
+    expected = _outcomes(path)[2]
+    no_process = BlockingIOError(11, "Resource temporarily unavailable")
+    with mock.patch("os.fork", side_effect=no_process) as fork:
+        assert _table_outcome(path) == expected
+    assert fork.call_count == 1

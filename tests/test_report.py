@@ -8,13 +8,17 @@ import gc
 import io
 import json
 import math
+import os
 import random
+import threading
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitstudy import report as report_module
 from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, DataError, NoSamplesError
 from splitstudy.ingest import write_bars, write_splits
@@ -547,6 +551,66 @@ def test_emit_writes_all_selectors(demo_report, tmp_path):
     assert before + after == pytest.approx(1.0, abs=1e-6)
     table1 = (tmp_path / "table1.csv").read_text().strip().splitlines()
     assert len(table1) == 10  # header + nine samples
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_emit_writes_the_same_files_with_a_child_and_without(demo_report, tmp_path):
+    with mock.patch("os.fork", wraps=os.fork) as fork:
+        written = emit(demo_report, tmp_path / "two")
+    assert fork.call_count == 1
+    _no_child_left()
+    with mock.patch.object(report_module, "may_fork", return_value=False):
+        alone = emit(demo_report, tmp_path / "one")
+    assert [p.name for p in written] == [p.name for p in alone]
+    assert [p.read_bytes() for p in written] == [p.read_bytes() for p in alone]
+
+
+def test_emit_failing_in_its_child_raises_as_alone_and_leaves_no_child(
+    demo_report, tmp_path
+):
+    def failure(out, forks):
+        (out / "fig3.csv").mkdir(parents=True)  # a directory occupies fig3.csv
+        with mock.patch.object(report_module, "may_fork", return_value=forks):
+            with pytest.raises(OSError) as exc_info:
+                emit(demo_report, out)
+        return str(exc_info.value).replace(str(out), "OUT")
+
+    with mock.patch("os.fork", wraps=os.fork) as fork:
+        with_child = failure(tmp_path / "two", True)
+    assert fork.call_count == 1
+    _no_child_left()
+    assert with_child == failure(tmp_path / "one", False)
+    assert with_child == "[Errno 21] Is a directory: 'OUT/fig3.csv'"
+
+
+def test_emit_writes_alone_when_no_process_can_be_forked(demo_report, tmp_path):
+    no_process = BlockingIOError(11, "Resource temporarily unavailable")
+    with mock.patch("os.fork", side_effect=no_process) as fork:
+        written = emit(demo_report, tmp_path / "alone")
+    assert fork.call_count == 1
+    expected = emit(demo_report, tmp_path / "two")
+    assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+
+
+def test_emit_does_not_fork_for_one_format_or_while_another_thread_runs(
+    demo_report, tmp_path
+):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    with mock.patch("os.fork", side_effect=AssertionError("forked")):
+        emit(demo_report, tmp_path / "csv", formats=("csv",))
+        emit(demo_report, tmp_path / "json", formats=("json",))
+        thread.start()
+        try:
+            assert len(emit(demo_report, tmp_path / "both")) == 21
+        finally:
+            release.set()
+            thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_all_zero_volume_universe_leaves_volume_share_absent(tmp_path):
