@@ -21,6 +21,7 @@ import io
 import math
 import os
 import re
+import stat
 import sys
 from array import array
 from contextlib import contextmanager
@@ -149,9 +150,9 @@ def parse_bars(path: str | Path) -> BarTable:
     Where the platform can fork and no other thread runs, a plain file is
     read by two processes: this one reads the rows up to the first line end
     past the middle byte while a forked child reads the rest and sends its
-    columns back over a pipe. A file is plain when its first line is
-    exactly the header and it holds no quote, so that every newline ends a
-    row. Everything else goes through the serial read, which alone raises,
+    columns back over a pipe. A file is plain when it is a regular file
+    (a pipe can be read only once), its first line is exactly the header
+    and it holds no quote, so that every newline ends a row. Everything else goes through the serial read, which alone raises,
     numbers lines and sorts: a file that is not plain, and a fault, an
     unsorted or repeated row, a decoding error or a failed child in either
     half. The table is the same either way.
@@ -270,8 +271,13 @@ _HEADER_LINES = (_HEADER, _HEADER + b"\n", _HEADER + b"\r\n")
 
 def _parse_halves(path: Path) -> BarTable | None:
     """The table of a plain bars.csv read by this process and a forked child,
-    one half each; None when the file or either half is not plain."""
+    one half each; None when the file or either half is not plain.
+
+    Only a regular file is opened: a pipe read here would lose the bytes
+    read before the serial read opens it again."""
     try:
+        if not stat.S_ISREG(path.stat().st_mode):
+            return None
         with path.open("rb") as fh:
             if fh.readline(len(_HEADER_LINES[-1])) not in _HEADER_LINES:
                 return None

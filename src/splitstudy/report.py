@@ -1000,8 +1000,9 @@ def emit(
     writes the CSVs while this process writes report.json; a child that
     fails leaves them to this process, which then raises what it meets.
     CSV-only and JSON-only output is written by this process alone. The
-    files are the same either way, except that CSVs the child wrote stay
-    when report.json cannot be written.
+    files are the same either way, except when report.json cannot be
+    written: this process then waits for the child before it raises, so the
+    CSVs the child wrote stay, each one whole.
     """
     for fmt in formats:
         if fmt not in ("json", "csv"):
@@ -1032,9 +1033,11 @@ def emit(
 
     in_child = json_paths and csv_paths and may_fork()
     with forked(write_csvs) if in_child else nullcontext() as wait:
-        for path in json_paths:
-            path.write_text(report.to_json(), encoding="utf-8")
-        csvs_written = wait is not None and wait() == 0
+        try:
+            for path in json_paths:
+                path.write_text(report.to_json(), encoding="utf-8")
+        finally:  # a failed report.json still waits: each CSV is left whole
+            csvs_written = wait is not None and wait() == 0
     if not csvs_written:
         write_csvs()
     return json_paths + csv_paths

@@ -1,7 +1,7 @@
 """Indexed net profit, ROE and trend-consistency classification."""
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from splitstudy.errors import DataError
 from splitstudy.fundamentals import (
@@ -139,11 +139,14 @@ def test_consistency_rejects_non_finite():
     c=st.floats(min_value=-100, max_value=100),
     k=st.floats(min_value=0.01, max_value=100.0),
 )
+@example(a=5e-324, b=0.0, c=-1.0, k=0.5)
 def test_consistency_symmetric_and_scale_invariant(a, b, c, k):
     base = classify_consistency(a, b, c).consistent
     assert classify_consistency(b, c, a).consistent == base
     assert classify_consistency(c, b, a).consistent == base
     # A positive factor keeps the sign, and so the class, unless k * a
-    # underflows to 0.0 (a = 5e-324, k = 0.5); the class is the sign's.
-    assume((k * a > 0) == (a > 0) and (k * a < 0) == (a < 0))
-    assert classify_consistency(k * a, b, c).consistent == base
+    # underflows to 0.0 (a = 5e-324, k = 0.5): then the class is 0.0's.
+    scaled = k * a
+    keeps_sign = (scaled > 0) == (a > 0) and (scaled < 0) == (a < 0)
+    expected = base if keeps_sign else classify_consistency(0.0, b, c).consistent
+    assert classify_consistency(scaled, b, c).consistent == expected

@@ -3,6 +3,7 @@
 import datetime
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -724,6 +725,47 @@ def test_parse_bars_leaves_no_child_process(tmp_path):
     assert fork.call_count == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_parse_bars_reads_a_named_pipe_once(tmp_path):
+    # A pipe (``--bars <(zcat bars.csv.gz)``) yields its bytes once: it is
+    # read by one process, in one pass. A second reader would wait forever
+    # for a writer, hence the separate processes and their timeouts.
+    rows = _rows(*STRAIGHT)
+    path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
+    fifo = tmp_path / "bars.fifo"
+    os.mkfifo(fifo)
+    copy = (
+        "import shutil, sys\n"
+        "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as sink:\n"
+        "    shutil.copyfileobj(src, sink)\n"
+    )
+    show = (
+        "import sys; from splitstudy.ingest import parse_bars\n"
+        "table = parse_bars(sys.argv[1])\n"
+        "print(table.dates, list(table.volume), table.ranges)\n"
+    )
+    src = Path(ingest.__file__).parent.parent
+    paths = (str(src), os.environ.get("PYTHONPATH"))
+    pythonpath = os.pathsep.join(p for p in paths if p)
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", show, str(fifo)],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert writer.wait(timeout=60) == 0
+    finally:
+        if writer.poll() is None:
+            writer.kill()
+            writer.wait()
+    assert done.returncode == 0, done.stderr
+    table = parse_bars(path)
+    assert done.stdout == f"{table.dates} {list(table.volume)} {table.ranges}\n"
 
 
 def test_parse_bars_does_not_fork_while_another_thread_runs(tmp_path):

@@ -587,6 +587,25 @@ def test_emit_failing_in_its_child_raises_as_alone_and_leaves_no_child(
     assert with_child == "[Errno 21] Is a directory: 'OUT/fig3.csv'"
 
 
+def test_emit_leaves_whole_csvs_when_report_json_fails(demo_report, tmp_path):
+    # report.json fails at once, while the child still writes the CSVs:
+    # emit waits for the child before it raises, so none is cut short.
+    failing = mock.patch.object(
+        type(demo_report), "to_json", side_effect=ValueError("not JSON compliant")
+    )
+    with mock.patch("os.fork", wraps=os.fork) as fork, failing:
+        with pytest.raises(ValueError, match="^not JSON compliant$"):
+            emit(demo_report, tmp_path / "two")
+    assert fork.call_count == 1
+    _no_child_left()
+    expected = emit(demo_report, tmp_path / "one", formats=("csv",))
+    left = sorted((tmp_path / "two").iterdir())
+    assert [p.name for p in left] == sorted(p.name for p in expected)
+    assert [p.read_bytes() for p in left] == [
+        (tmp_path / "one" / p.name).read_bytes() for p in left
+    ]
+
+
 def test_emit_writes_alone_when_no_process_can_be_forked(demo_report, tmp_path):
     no_process = BlockingIOError(11, "Resource temporarily unavailable")
     with mock.patch("os.fork", side_effect=no_process) as fork:
