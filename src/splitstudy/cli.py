@@ -5,21 +5,24 @@ analyze, and emit report.json plus figure/table CSVs. Configuration comes
 from an optional JSON config file (explicit "version" key required) with
 command-line flags taking precedence.
 
-Exit codes: 0 success, 1 input/config error, 2 no analyzable samples,
-3 internal error.
+Exit codes: 0 success, 1 input, config or usage error (an unknown option
+too), 2 no analyzable samples, 3 internal error. A path or timestamp key
+that is not a string, and a selector given twice, are config errors.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
-import click
-
 from . import __version__
 from .errors import ConfigError, DataError, NoSamplesError
-from .report import RunConfig, RunParams, emit, run_pipeline
+from .report import (
+    BETA_VARIANTS, HYPOTHESES, PRICE_BASES, RunConfig, RunParams, emit,
+    run_pipeline,
+)
 
 CONFIG_VERSION = 1
 
@@ -77,9 +80,9 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
         raise ConfigError(
             f"min_coverage must be a number, got {merged['min_coverage']!r}"
         )
-    timestamp = merged.get("timestamp")
-    if timestamp is not None and not isinstance(timestamp, str):
-        raise ConfigError(f"timestamp must be a string, got {timestamp!r}")
+    for key in ("bars", "splits", "fundamentals", "rates", "out", "timestamp"):
+        if merged.get(key) is not None and not isinstance(merged[key], str):
+            raise ConfigError(f"{key} must be a string, got {merged[key]!r}")
 
     try:
         params = RunParams(
@@ -105,82 +108,79 @@ def build_config(file_values: dict, flag_values: dict) -> RunConfig:
         params=params,
         seed=seed,
         emit=tuple(emit_value) if emit_value is not None else None,
-        timestamp=timestamp,
+        timestamp=merged.get("timestamp"),
     )
 
 
-@click.command(name="splitstudy")
-@click.version_option(version=__version__)
-@click.option("--config", "config_path", default=None,
-              help="JSON config file; flags override its values.")
-@click.option("--bars", default=None, help="bars.csv path.")
-@click.option("--splits", default=None, help="splits.csv path.")
-@click.option("--fundamentals", default=None, help="fundamentals.csv path.")
-@click.option("--rates", default=None, help="rates.csv path.")
-@click.option("--out", default=None, help="Output directory (default ./out).")
-@click.option("--hypothesis", type=click.Choice(["h1", "h2", "h3", "all"]),
-              default=None, help="Which hypothesis sections to compute.")
-@click.option("--basis", type=click.Choice(["raw", "adjusted"]), default=None,
-              help="Price basis for price analytics (default adjusted).")
-@click.option("--beta-variant", type=click.Choice(["cov", "corr"]), default=None,
-              help="Beta formula variant (default cov).")
-@click.option("--month-days", type=int, default=None,
-              help="Trading days per month (default 21).")
-@click.option("--min-coverage", type=float, default=None,
-              help="Minimum window coverage fraction (default 0.95).")
-@click.option("--seed", type=int, default=None,
-              help="Synthetic mode: generate a seeded 9-sample universe "
-                   "under OUT/inputs and analyze it.")
-@click.option("--emit", "emit_", default=None,
-              help="Comma-separated figure/table selectors, or 'all'.")
-def cli(config_path, bars, splits, fundamentals, rates, out, hypothesis,
-        basis, beta_variant, month_days, min_coverage, seed, emit_):
-    """Run the split event-study pipeline and emit its report."""
-    file_values = load_config_file(config_path) if config_path else {}
-    flags = {
-        "bars": bars,
-        "splits": splits,
-        "fundamentals": fundamentals,
-        "rates": rates,
-        "out": out,
-        "hypothesis": hypothesis,
-        "basis": basis,
-        "beta_variant": beta_variant,
-        "month_days": month_days,
-        "min_coverage": min_coverage,
-        "seed": seed,
-        "emit": emit_,
-    }
-    config = build_config(file_values, flags)
-    report = run_pipeline(config)
-    written = emit(report, config.out, formats=("json", "csv"),
-                   selectors=config.emit)
-    click.echo(
-        f"analyzed {len(report.samples)} sample(s), "
-        f"{len(report.exclusions)} excluded; wrote {len(written)} file(s) "
-        f"to {config.out}"
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1); exit 2 means "no samples"."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="splitstudy", add_help=False, allow_abbrev=False,
+        description="Run the split event-study pipeline and emit its report.",
     )
-    for note in (f"{s.sample_id}: {n}" for s in report.samples for n in s.notes):
-        click.echo(f"note: {note}", err=True)
+    add = parser.add_argument
+    add("--version", action="version", version=f"%(prog)s, version {__version__}",
+        help="Show the version and exit.")
+    add("--config", help="JSON config file; flags override its values.")
+    add("--bars", help="bars.csv path.")
+    add("--splits", help="splits.csv path.")
+    add("--fundamentals", help="fundamentals.csv path.")
+    add("--rates", help="rates.csv path.")
+    add("--out", help="Output directory (default ./out).")
+    add("--hypothesis", choices=HYPOTHESES,
+        help="Which hypothesis sections to compute.")
+    add("--basis", choices=PRICE_BASES,
+        help="Price basis for price analytics (default adjusted).")
+    add("--beta-variant", choices=BETA_VARIANTS,
+        help="Beta formula variant (default cov).")
+    add("--month-days", type=int, help="Trading days per month (default 21).")
+    add("--min-coverage", type=float,
+        help="Minimum window coverage fraction (default 0.95).")
+    add("--seed", type=int,
+        help="Synthetic mode: generate a seeded 9-sample universe "
+             "under OUT/inputs and analyze it.")
+    add("--emit", help="Comma-separated figure/table selectors, or 'all'.")
+    add("--help", action="help", help="Show this message and exit.")
+    return parser
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    """Run the command on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code."""
     try:
-        cli.main(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
+        flags = vars(_parser().parse_args(argv))
+        config_path = flags.pop("config")
+        file_values = load_config_file(config_path) if config_path else {}
+        config = build_config(file_values, flags)
+        report = run_pipeline(config)
+        written = emit(report, config.out, formats=("json", "csv"),
+                       selectors=config.emit)
+        print(
+            f"analyzed {len(report.samples)} sample(s), "
+            f"{len(report.exclusions)} excluded; wrote {len(written)} file(s) "
+            f"to {config.out}"
+        )
+        for note in (f"{s.sample_id}: {n}" for s in report.samples for n in s.notes):
+            print(f"note: {note}", file=sys.stderr)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
+    except KeyboardInterrupt:
+        print("\naborted", file=sys.stderr)
         return 1
     except (ConfigError, DataError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoSamplesError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        click.echo(f"internal error: {exc}", err=True)
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -1011,7 +1011,9 @@ def emit(
     if "csv" in formats:
         available = available_selectors(report.params)
         names = available if selectors is None else list(selectors)
-        for name in names:
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"selector {name!r} is given more than once")
             if name not in SELECTORS:
                 raise ConfigError(
                     f"unknown selector {name!r}; known: {sorted(SELECTORS)}"

@@ -4,32 +4,26 @@ import dataclasses
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from splitstudy.cli import build_config, cli, load_config_file, main
+from splitstudy import __version__, cli
+from splitstudy.cli import build_config, load_config_file, main
 from splitstudy.errors import ConfigError
 from splitstudy.ingest import write_bars, write_splits
 from splitstudy.synthetic import ScenarioSpec, generate_history
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def test_synthetic_run_succeeds(tmp_path, runner):
-    result = runner.invoke(
-        cli, ["--seed", "3", "--out", str(tmp_path), "--emit", "fig1,fig2,table1"]
-    )
-    assert result.exit_code == 0, result.output
+def test_synthetic_run_succeeds(tmp_path, capsys):
+    code = main(["--seed", "3", "--out", str(tmp_path), "--emit", "fig1,fig2,table1"])
+    out = capsys.readouterr().out
+    assert code == 0, out
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "fig1.csv").exists()
     assert not (tmp_path / "fig4.csv").exists()
-    assert "analyzed 9 sample(s)" in result.output
+    assert "analyzed 9 sample(s)" in out
 
 
 def test_missing_inputs_exit_code_one(tmp_path, capsys):
-    code = main_with_args(
+    code = main(
         ["--bars", str(tmp_path / "none.csv"), "--splits", str(tmp_path / "s.csv")]
     )
     assert code == 1
@@ -43,7 +37,7 @@ def test_no_samples_exit_code_two(tmp_path):
     )
     splits = tmp_path / "splits.csv"
     splits.write_text("ticker,effective_date,ratio\n")
-    code = main_with_args(
+    code = main(
         ["--bars", str(bars), "--splits", str(splits), "--out", str(tmp_path)]
     )
     assert code == 2
@@ -56,7 +50,7 @@ def test_adjusted_volume_beyond_int64_exit_code_one(tmp_path, capsys):
     write_splits(tmp_path / "splits.csv", [event])
     config = tmp_path / "adjusted.json"
     config.write_text('{"version": 1, "volume_basis": "adjusted"}')
-    code = main_with_args(
+    code = main(
         ["--config", str(config), "--bars", str(tmp_path / "bars.csv"),
          "--splits", str(tmp_path / "splits.csv"), "--out", str(tmp_path / "out")]
     )
@@ -66,7 +60,7 @@ def test_adjusted_volume_beyond_int64_exit_code_one(tmp_path, capsys):
 
 
 def test_unknown_selector_exit_code_one(tmp_path):
-    code = main_with_args(
+    code = main(
         ["--seed", "3", "--out", str(tmp_path), "--emit", "fig99"]
     )
     assert code == 1
@@ -74,29 +68,22 @@ def test_unknown_selector_exit_code_one(tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [["--emit", "fig1,bogus"], ["--hypothesis", "h2", "--emit", "table1,fig1"]],
-    ids=["unknown", "needs-h1"],
+    [
+        ["--emit", "fig1,bogus"],
+        ["--hypothesis", "h2", "--emit", "table1,fig1"],
+        ["--emit", "fig1,fig1,table1"],
+    ],
+    ids=["unknown", "needs-h1", "repeated"],
 )
 def test_rejected_selector_writes_no_output(tmp_path, args):
     # Every selector is checked before report.json or any CSV is written.
-    code = main_with_args(["--seed", "3", "--out", str(tmp_path)] + args)
+    code = main(["--seed", "3", "--out", str(tmp_path)] + args)
     assert code == 1
     assert not (tmp_path / "report.json").exists()
     assert list(tmp_path.glob("*.csv")) == []
 
 
-def main_with_args(args):
-    import sys
-
-    argv = sys.argv
-    sys.argv = ["splitstudy"] + args
-    try:
-        return main()
-    finally:
-        sys.argv = argv
-
-
-def test_config_file_with_flag_overrides(tmp_path, runner):
+def test_config_file_with_flag_overrides(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(
         json.dumps(
@@ -109,10 +96,8 @@ def test_config_file_with_flag_overrides(tmp_path, runner):
             }
         )
     )
-    result = runner.invoke(
-        cli, ["--config", str(config_path), "--out", str(tmp_path / "b")]
-    )
-    assert result.exit_code == 0, result.output
+    code = main(["--config", str(config_path), "--out", str(tmp_path / "b")])
+    assert code == 0, capsys.readouterr()
     assert (tmp_path / "b" / "fig1.csv").exists()  # flag overrode "out"
     report = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report["params"]["hypothesis"] == "h1"
@@ -149,7 +134,7 @@ def test_build_config_emit_parsing():
         build_config({"hypothesis": "h9"}, {})
 
 
-def test_timestamp_pinning(tmp_path, runner):
+def test_timestamp_pinning(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(
         json.dumps(
@@ -162,8 +147,7 @@ def test_timestamp_pinning(tmp_path, runner):
             }
         )
     )
-    result = runner.invoke(cli, ["--config", str(config_path)])
-    assert result.exit_code == 0, result.output
+    assert main(["--config", str(config_path)]) == 0, capsys.readouterr()
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["generated_at"] == "2026-08-08T00:00:00Z"
 
@@ -176,6 +160,11 @@ def test_timestamp_pinning(tmp_path, runner):
         ({"seed": 2.9}, "seed must be an integer, got 2.9"),
         ({"min_coverage": True}, "min_coverage must be a number, got True"),
         ({"timestamp": 5}, "timestamp must be a string, got 5"),
+        ({"out": 5}, "out must be a string, got 5"),
+        ({"bars": 7, "splits": "x"}, "bars must be a string, got 7"),
+        ({"splits": ["s.csv"]}, "splits must be a string, got ['s.csv']"),
+        ({"fundamentals": 1.5}, "fundamentals must be a string, got 1.5"),
+        ({"rates": {}}, "rates must be a string, got {}"),
     ],
 )
 def test_config_values_are_rejected_not_coerced(tmp_path, capsys, values, message):
@@ -183,8 +172,9 @@ def test_config_values_are_rejected_not_coerced(tmp_path, capsys, values, messag
         build_config({"version": 1, **values}, {})
     assert str(exc_info.value) == message
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"version": 1, "seed": 1, **values}))
-    assert main_with_args(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    out = str(tmp_path / "o")  # in the file, so that "out" itself can be the bad value
+    config.write_text(json.dumps({"version": 1, "seed": 1, "out": out, **values}))
+    assert main(["--config", str(config)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
@@ -197,3 +187,49 @@ def test_config_numbers_given_as_whole_numbers_or_strings_are_accepted():
     assert config.params.min_coverage == 0.9
     config = build_config({"version": 1, "month_days": "20", "min_coverage": 1}, {})
     assert (config.params.month_days, config.params.min_coverage) == (20, 1.0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--hyp", "h1"], "unrecognized arguments: --hyp h1"),
+        (["--hypothesis", "h9"], "argument --hypothesis: invalid choice: 'h9'"),
+        (["--seed"], "argument --seed: expected one argument"),
+        (["stray"], "unrecognized arguments: stray"),
+    ],
+    ids=["unknown", "abbreviated", "bad-choice", "missing-value", "positional"],
+)
+def test_usage_error_exit_code_one(tmp_path, capsys, args, message):
+    # argparse would exit 2, which here means "no samples".
+    assert main(["--seed", "1", "--out", str(tmp_path / "o")] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_version(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"splitstudy, version {__version__}\n"
+
+
+def test_help_lists_every_option(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for option in (
+        "--version", "--config", "--bars", "--splits", "--fundamentals",
+        "--rates", "--out", "--hypothesis", "--basis", "--beta-variant",
+        "--month-days", "--min-coverage", "--seed", "--emit", "--help",
+    ):
+        assert option in out
+    assert "[-h]" not in out  # no short options
+
+
+def test_ctrl_c_exits_one(tmp_path, capsys, monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_pipeline", interrupted)
+    assert main(["--seed", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "\naborted\n"

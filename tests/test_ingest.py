@@ -147,16 +147,16 @@ def test_rows_numbered_by_physical_line(tmp_path, parse, text, message):
     assert str(exc_info.value) == message
 
 
-def _cli_exit_code(monkeypatch, bars, tmp_path):
+def _cli_exit_code(bars, tmp_path):
     splits = _write(
         tmp_path, "splits.csv", "ticker,effective_date,ratio\nX,2013-06-04,2\n"
     )
-    argv = ["splitstudy", "--bars", str(bars), "--splits", str(splits)]
-    monkeypatch.setattr(sys, "argv", argv + ["--out", str(tmp_path / "out")])
-    return main()
+    return main(
+        ["--bars", str(bars), "--splits", str(splits), "--out", str(tmp_path / "out")]
+    )
 
 
-def test_undecodable_bytes_rejected_with_line(tmp_path, monkeypatch):
+def test_undecodable_bytes_rejected_with_line(tmp_path):
     path = tmp_path / "bars.csv"
     path.write_bytes(
         b"ticker,date,open,high,low,close,adj_close,volume\n"
@@ -166,10 +166,10 @@ def test_undecodable_bytes_rejected_with_line(tmp_path, monkeypatch):
     with pytest.raises(DataError) as exc_info:
         parse_bars(path)
     assert str(exc_info.value) == "line 3: undecodable bytes b'\\xff' (expected UTF-8)"
-    assert _cli_exit_code(monkeypatch, path, tmp_path) == 1
+    assert _cli_exit_code(path, tmp_path) == 1
 
 
-def test_oversized_field_rejected_with_line(tmp_path, monkeypatch):
+def test_oversized_field_rejected_with_line(tmp_path):
     path = _write(
         tmp_path,
         "bars.csv",
@@ -180,7 +180,7 @@ def test_oversized_field_rejected_with_line(tmp_path, monkeypatch):
     with pytest.raises(DataError) as exc_info:
         parse_bars(path)
     assert str(exc_info.value) == "line 3: field larger than field limit (131072)"
-    assert _cli_exit_code(monkeypatch, path, tmp_path) == 1
+    assert _cli_exit_code(path, tmp_path) == 1
 
 
 def test_parse_bars_header_and_missing_file(tmp_path):

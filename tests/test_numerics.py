@@ -190,11 +190,15 @@ def test_engine_imports_no_numpy():
         f"splitstudy.{m.name}" for m in pkgutil.iter_modules(splitstudy.__path__)
     ]
     assert "splitstudy.report" in names and "splitstudy.cli" in names
+    # Every module the engine loads is its own or the standard library's:
+    # neither numpy nor any other third-party package.
     code = (
         "import importlib, sys\n"
+        "before = set(sys.modules)\n"
         f"for name in {names!r}:\n"
         "    importlib.import_module(name)\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded - {'splitstudy'} - sys.stdlib_module_names))\n"
     )
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
@@ -205,4 +209,4 @@ def test_engine_imports_no_numpy():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
