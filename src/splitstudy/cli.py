@@ -39,7 +39,7 @@ def load_config_file(path: str) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")

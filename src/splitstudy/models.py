@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import DataError
 
@@ -191,14 +191,16 @@ class ReferenceRateSeries:
 
 @dataclass(frozen=True, slots=True)
 class OffsetSeries:
-    """Values at trading-day offsets: ``offsets`` (a ``range`` when taken
-    from an aligned window) and an ``array`` of ``values``, one per offset.
-    It iterates as ``(offset, value)`` pairs."""
+    """Values at consecutive trading-day offsets: a ``range`` of ``offsets``
+    and an ``array`` of ``values``, one per offset. It iterates as
+    ``(offset, value)`` pairs."""
 
-    offsets: Sequence[int]
+    offsets: range
     values: array
 
     def __post_init__(self) -> None:
+        if type(self.offsets) is not range or self.offsets.step != 1:
+            raise DataError("offsets must be a step-1 range")
         if len(self.offsets) != len(self.values):
             raise DataError("offsets and values must have equal length")
 
@@ -210,25 +212,25 @@ class OffsetSeries:
 class EventWindow:
     """One ticker's bars numbered by trading-day offsets around a split.
 
-    Offsets count data rows, not calendar days; offset 0 is the bar on, or
-    the first trading day after, the effective date. ``align_to_event``
-    gives a ``range`` of offsets, short of the requested ``span`` only where
+    Offsets count data rows, not calendar days, so they are a step-1
+    ``range``; offset 0 is the bar on, or the first trading day after, the
+    effective date. The range is short of the requested ``span`` only where
     the series ran out of rows; ``coverage`` is the fraction present.
     """
 
     event: SplitEvent
     bars: BarTable
-    offsets: Sequence[int]
+    offsets: range
     coverage: float
     span: tuple[int, int] = field(default=(0, 0))
 
     def __post_init__(self) -> None:
+        if type(self.offsets) is not range or self.offsets.step != 1:
+            raise DataError("offsets must be a step-1 range")
         if len(self.bars) != len(self.offsets):
             raise DataError("bars and offsets must have equal length")
         if len(self.bars.ranges) != 1:
             raise DataError("an event window holds the bars of one ticker")
-        if any(cur <= prev for prev, cur in zip(self.offsets, self.offsets[1:])):
-            raise DataError("offsets must be strictly increasing")
         anchor = bisect_left(self.bars.dates, self.event.effective_date)
         if anchor == len(self.offsets) or self.offsets[anchor] != 0:
             raise DataError("offset 0 must be the first bar on/after the effective date")
@@ -238,7 +240,7 @@ class EventWindow:
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def between(self, lo: int, hi: int) -> tuple[Sequence[int], slice]:
+    def between(self, lo: int, hi: int) -> tuple[range, slice]:
         """The present offsets in [lo, hi] and the slice of ``bars`` rows at them."""
         start, stop = bisect_left(self.offsets, lo), bisect_right(self.offsets, hi)
         return self.offsets[start:stop], slice(start, stop)
@@ -247,20 +249,6 @@ class EventWindow:
         """``column`` of ``bars`` at the present offsets in [lo, hi]."""
         offsets, rows = self.between(lo, hi)
         return OffsetSeries(offsets, getattr(self.bars, column)[rows])
-
-    def bar_at(self, offset: int) -> TradingBar | None:
-        rows = self.between(offset, offset)[1]
-        if rows.start == rows.stop:
-            return None
-        (ticker,), t, i = self.bars.ranges, self.bars, rows.start
-        prices = (getattr(t, name)[i] for name in PRICE_COLUMNS)
-        return TradingBar(ticker, t.dates[i], *prices, t.volume[i])
-
-    def coverage_between(self, lo: int, hi: int) -> float:
-        """Fraction of offsets in [lo, hi] actually present."""
-        if hi < lo:
-            raise DataError(f"empty offset range [{lo}, {hi}]")
-        return len(self.between(lo, hi)[0]) / (hi - lo + 1)
 
 
 def group_by_ticker(rows: Iterable[_T]) -> dict[str, list[_T]]:

@@ -18,7 +18,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from operator import sub
-from typing import Sequence
 
 from .errors import DataError
 from .models import EventWindow
@@ -33,8 +32,8 @@ SPLIT_ADJUSTED = "split_adjusted"
 ADJ_CLOSE = "adj_close"
 CLOSE = "close"
 
-# Month marks rarely land exactly on trading days; take the nearest bar
-# within this many trading days, else fail.
+# Offsets count trading rows, so only where a window ran out of rows does
+# the nearest bar within this many trading days stand in for a price.
 NEAREST_TOLERANCE = 3
 
 
@@ -77,12 +76,9 @@ class GapMeans:
 
 @dataclass(frozen=True, slots=True)
 class GapSeries(GapMeans):
-    """Per-offset high-low gaps over a range, with their means.
+    """Per-offset high-low gaps over a range of offsets, with their means."""
 
-    ``offsets`` is a ``range`` when taken from an aligned window.
-    """
-
-    offsets: Sequence[int]
+    offsets: range
     gaps: array
 
 
@@ -105,52 +101,40 @@ def price_at(
     window: EventWindow,
     offset: int,
     price_field: str = ADJ_CLOSE,
-    tolerance: int = NEAREST_TOLERANCE,
     min_offset: int | None = None,
     max_offset: int | None = None,
 ) -> float:
-    """Price at an offset, falling back to the nearest bar within tolerance.
-
-    ``min_offset``/``max_offset`` restrict which bars may substitute, so a
-    pre-split endpoint never borrows a post-split bar and vice versa.
-    Ties prefer the earlier offset. Candidates are probed outward from
-    ``offset``, so a lookup in an aligned window costs O(tolerance).
-    """
+    """Price at the allowed offset nearest ``offset``, at most
+    ``NEAREST_TOLERANCE`` away: ``offset`` clamped into the window's
+    consecutive offsets narrowed to [``min_offset``, ``max_offset``], so a
+    pre-split endpoint never borrows a post-split bar."""
     if price_field not in (ADJ_CLOSE, CLOSE):
         raise DataError(f"unknown price field {price_field!r}")
-    offsets = window.offsets
-    for distance in range(tolerance + 1):
-        candidates = (offset - distance, offset + distance) if distance else (offset,)
-        for candidate in candidates:
-            too_low = min_offset is not None and candidate < min_offset
-            too_high = max_offset is not None and candidate > max_offset
-            if not (too_low or too_high) and candidate in offsets:
-                return getattr(window.bars, price_field)[offsets.index(candidate)]
-    raise DataError(f"no bar within {tolerance} trading days of offset {offset}")
+    first, last = window.offsets[0], window.offsets[-1]
+    lo = first if min_offset is None else max(first, min_offset)
+    hi = last if max_offset is None else min(last, max_offset)
+    nearest = min(max(offset, lo), hi)
+    if lo <= hi and abs(nearest - offset) <= NEAREST_TOLERANCE:
+        return getattr(window.bars, price_field)[nearest - first]
+    raise DataError(f"no bar within {NEAREST_TOLERANCE} trading days of offset {offset}")
 
 
-def _same_side_price(
-    window: EventWindow, offset: int, price_field: str, tolerance: int
-) -> float:
+def _same_side_price(window: EventWindow, offset: int, price_field: str) -> float:
     """``price_at`` substituting only from ``offset``'s side of day 0."""
     bounds = (None, -1) if offset < 0 else (0, None)
-    return price_at(window, offset, price_field, tolerance, *bounds)
+    return price_at(window, offset, price_field, *bounds)
 
 
 def price_change_pct(
-    window: EventWindow,
-    lo: int,
-    hi: int,
-    price_field: str = ADJ_CLOSE,
-    tolerance: int = NEAREST_TOLERANCE,
+    window: EventWindow, lo: int, hi: int, price_field: str = ADJ_CLOSE
 ) -> float:
     """Percent price change from offset lo to offset hi.
 
     Each endpoint substitutes only from its own side of the split: a
     negative offset from offsets <= -1, any other from offsets >= 0.
     """
-    start = _same_side_price(window, lo, price_field, tolerance)
-    end = _same_side_price(window, hi, price_field, tolerance)
+    start = _same_side_price(window, lo, price_field)
+    end = _same_side_price(window, hi, price_field)
     return 100.0 * (end - start) / start
 
 
@@ -175,7 +159,7 @@ def value_factor(price_factor: float, split_ratio: float) -> ValueFactor:
 
 def _gaps(
     window: EventWindow, lo: int, hi: int, basis: str
-) -> tuple[Sequence[int], array, GapMeans]:
+) -> tuple[range, array, GapMeans]:
     """The present offsets in [lo, hi], their gaps on ``basis`` and the means."""
     if basis not in (RAW, SPLIT_ADJUSTED):
         raise DataError(f"unknown gap basis {basis!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -256,13 +257,12 @@ def _encode(o: Any, level: int) -> str:
     """``json.dumps(o, indent=2, allow_nan=False)`` indented for depth ``level``.
 
     Stdlib's indented encoder runs in Python, so an ``OffsetSeries`` whose
-    offsets are a ``range`` and values an ``array('q')`` or a finite
-    ``array('d')`` is written with one f-string per point (any other goes
-    through ``_points``). Empty lists and dicts are written inline, as
-    indent=2 writes them; calling stdlib for each would build an encoder
-    whose closures form a reference cycle. Everything else (other types and
-    subclasses, non-str keys, non-finite floats) goes to stdlib itself, so
-    its coercions and errors are kept.
+    values are an ``array('q')`` or a finite ``array('d')`` is written with
+    one f-string per point (any other goes through ``_points``). Empty lists
+    and dicts are written inline, as indent=2 writes them; calling stdlib
+    for each would build an encoder whose closures form a reference cycle.
+    Everything else (other types and subclasses, non-str keys, non-finite
+    floats) goes to stdlib itself, so its coercions and errors are kept.
     """
     t = type(o)
     if t is str:
@@ -283,7 +283,7 @@ def _encode(o: Any, level: int) -> str:
     inner = outer + "  "
     if t is OffsetSeries:
         values, code = o.values, o.values.typecode
-        if not values or type(o.offsets) is not range or not (
+        if not values or not (
             code == "q" or code == "d" and all(map(math.isfinite, values))
         ):
             return _encode(_points(o), level)
@@ -307,13 +307,32 @@ def _encode(o: Any, level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value: Any) -> bool:
+    """Whether every float in ``value`` and its items and fields is finite."""
+    t = type(value)
+    if t is float:
+        return math.isfinite(value)
+    if t is int or t is str or t is bool or value is None:
+        return True
+    if t is array:
+        return value.typecode != "d" or all(map(math.isfinite, value))
+    if t is dict:
+        value = value.values()
+    elif t is not list and t is not tuple:
+        value = [getattr(value, f) for f in getattr(t, "__dataclass_fields__", ())]
+    return all(map(_finite, value))
+
+
 def _maybe(analysis: SampleAnalysis, label: str, compute: Callable[[], Any]) -> Any:
-    """Run one metric; on DataError record a note and leave it absent."""
+    """Run one metric; note a DataError or a non-finite result and return None."""
     try:
-        return compute()
+        value = compute()
+        if not _finite(value):
+            raise DataError("result is not finite")
     except DataError as exc:
         analysis.notes.append(f"{label}: {exc}")
         return None
+    return value
 
 
 def _collect(
@@ -409,9 +428,8 @@ def analyze_sample(
             analysis.notes.append("beta: no reference rate series provided")
         if analysis.beta is not None:
             analysis.abnormal = list(_collect(analysis, (
-                ((m, b), f"abnormal_{m}m_{b}", lambda m=m, b=b: abnormal_return(
-                    window, rates, m * md, beta_estimate=analysis.beta, baseline=b
-                ))
+                ((m, b), f"abnormal_{m}m_{b}",
+                 lambda m=m, b=b: abnormal_return(window, m * md, analysis.beta, b))
                 for m in ABNORMAL_MONTHS
                 for b in (FULL_PERIOD, DEMARCATION)
             )).values())

@@ -1,11 +1,12 @@
 """Period returns, beta estimation and abnormal-return computation.
 
-The baseline ("normal") return is the gross adjusted-close return over the
-120 trading days before the split. The post-split gross return over a
-horizon is multiplied by the stock's beta to give the market-influenced
-return; the abnormal return is the difference of the two. A variant
-replaces the baseline's start price with the virtual demarcation price,
-the midpoint of the 120-day pre-event window.
+The baseline ("normal") return is the adjusted close at offset -1 over
+that at -120; the post-split gross return, the close at the horizon over
+that at day 0, times the stock's beta is the market-influenced return, and
+the abnormal return is the difference of the two. ``prices.price_at``
+reads each close from its own side of the split. A variant replaces the
+baseline's start price with the virtual demarcation price, the midpoint
+of the 120-day pre-event window.
 
 Beta is a covariance/variance ratio against a reference return series.
 A correlation/variance variant exists as well; both are implemented and
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from .errors import CoverageError, DataError
 from .models import EventWindow, ReferenceRateSeries
-from .prices import ADJ_CLOSE, NEAREST_TOLERANCE, price_at
+from .prices import ADJ_CLOSE, price_at
 
 PRE_WINDOW_DAYS = 120
 # Bars 60 and 61 of the 120-bar pre-event window, i.e. its midpoint.
@@ -32,19 +33,6 @@ CORRELATION = "correlation"
 
 FULL_PERIOD = "full_period"
 DEMARCATION = "demarcation"
-
-
-@dataclass(frozen=True)
-class ReturnObservation:
-    """Gross return (end price / start price) between two offsets."""
-
-    period_start: int
-    period_end: int
-    gross_return: float
-
-    def __post_init__(self) -> None:
-        if not self.gross_return > 0:
-            raise DataError(f"gross return ({self.gross_return}) must be > 0")
 
 
 @dataclass(frozen=True)
@@ -199,30 +187,11 @@ def beta(
     return BetaEstimate(beta=value, variant=variant, n_obs=n)
 
 
-def gross_return(
-    window: EventWindow,
-    start: int,
-    end: int,
-    price_field: str = ADJ_CLOSE,
-    tolerance: int = NEAREST_TOLERANCE,
-    min_offset: int | None = None,
-    max_offset: int | None = None,
-) -> ReturnObservation:
-    """Gross return between two offsets using the nearest-bar rule."""
-    p_start = price_at(window, start, price_field, tolerance, min_offset, max_offset)
-    p_end = price_at(window, end, price_field, tolerance, min_offset, max_offset)
-    return ReturnObservation(
-        period_start=start, period_end=end, gross_return=p_end / p_start
-    )
-
-
-def demarcation_price(
-    window: EventWindow, tolerance: int = NEAREST_TOLERANCE
-) -> float:
+def demarcation_price(window: EventWindow) -> float:
     """Mean adjusted close at the midpoint of the 120-day pre-event window."""
     try:
         prices = [
-            price_at(window, off, ADJ_CLOSE, tolerance, max_offset=-1)
+            price_at(window, off, ADJ_CLOSE, max_offset=-1)
             for off in DEMARCATION_OFFSETS
         ]
     except DataError as exc:
@@ -268,39 +237,30 @@ def beta_for_window(
 
 def abnormal_return(
     window: EventWindow,
-    rates: ReferenceRateSeries | None,
     horizon_days: int,
-    beta_estimate: BetaEstimate | None = None,
+    beta_estimate: BetaEstimate,
     baseline: str = FULL_PERIOD,
-    tolerance: int = NEAREST_TOLERANCE,
 ) -> AbnormalReturn:
     """Abnormal return at a horizon: post gross return x beta, minus baseline.
 
-    When ``beta_estimate`` is omitted it is estimated from the pre-event
-    window against ``rates``. The ``demarcation`` baseline replaces the
-    pre-period start price with the virtual demarcation price.
+    The post-split gross return runs from day 0 to ``horizon_days``; the
+    ``demarcation`` baseline replaces the pre-period start price with the
+    virtual demarcation price.
     """
     if horizon_days < 0:
         raise DataError(f"horizon_days ({horizon_days}) must be >= 0")
     if baseline not in (FULL_PERIOD, DEMARCATION):
         raise DataError(f"unknown baseline {baseline!r}")
-    if beta_estimate is None:
-        if rates is None:
-            raise DataError("either rates or beta_estimate must be provided")
-        beta_estimate = beta_for_window(window, rates)
 
     try:
-        end_price = price_at(window, -1, ADJ_CLOSE, tolerance, max_offset=-1)
+        end_price = price_at(window, -1, ADJ_CLOSE, max_offset=-1)
         if baseline == FULL_PERIOD:
-            start_price = price_at(
-                window, -PRE_WINDOW_DAYS, ADJ_CLOSE, tolerance, max_offset=-1
-            )
+            start_price = price_at(window, -PRE_WINDOW_DAYS, ADJ_CLOSE, max_offset=-1)
         else:
-            start_price = demarcation_price(window, tolerance)
+            start_price = demarcation_price(window)
         normal = end_price / start_price
-        post = gross_return(
-            window, 0, horizon_days, ADJ_CLOSE, tolerance, min_offset=0
-        ).gross_return
+        post_start = price_at(window, 0, ADJ_CLOSE, min_offset=0)
+        post = price_at(window, horizon_days, ADJ_CLOSE, min_offset=0) / post_start
     except DataError as exc:
         raise CoverageError(f"insufficient coverage for abnormal return: {exc}") from None
 

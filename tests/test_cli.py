@@ -59,6 +59,52 @@ def test_adjusted_volume_beyond_int64_exit_code_one(tmp_path, capsys):
     assert "error: a split-adjusted volume exceeds the int64 range" in err
 
 
+def test_metrics_that_overflow_are_absent_not_fatal(tmp_path, capsys):
+    # Prices near the float maximum are finite input, but their sums and
+    # differences overflow; such a metric is left absent with a note.
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=400, split_day=140, split_ratio=2.0)
+    )
+    prices = ("open", "high", "low", "close", "adj_close")
+    bars = [
+        dataclasses.replace(b, **{f: getattr(b, f) * 1e306 for f in prices})
+        for b in bars
+    ]
+    write_bars(tmp_path / "bars.csv", bars)
+    write_splits(tmp_path / "splits.csv", [event])
+    out = tmp_path / "out"
+    code = main(
+        ["--bars", str(tmp_path / "bars.csv"), "--splits", str(tmp_path / "splits.csv"),
+         "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    (sample,) = json.loads(
+        (out / "report.json").read_text(), parse_constant=reject
+    )["samples"]
+    overflowed = [
+        note.split(":")[0] for note in sample["notes"]
+        if note.endswith(": result is not finite")
+    ]
+    assert overflowed == [
+        "period_averages", "price_change_3m", "price_change_6m", "price_change_9m",
+        "price_change_12m", "price_change_pre_3m", "price_change_post_3m",
+        "price_change_pre_4m", "gap_90_raw", "gap_half_year_raw",
+        "gap_half_year_split_adjusted",
+    ]
+    assert sample["h1"]["period_averages"] is None
+    assert sorted(sample["h2"]["price_changes_around"]) == ["-1", "-2", "1", "2", "4"]
+    assert sample["h3"]["gap_half_year"] == {}
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 20
+    for path in csvs:
+        fields = path.read_text().replace("\n", ",").split(",")
+        assert not {f.lower() for f in fields} & {"inf", "-inf", "nan"}, path.name
+
+
 def test_unknown_selector_exit_code_one(tmp_path):
     code = main(
         ["--seed", "3", "--out", str(tmp_path), "--emit", "fig99"]
@@ -121,6 +167,12 @@ def test_config_file_validation(tmp_path):
 
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(str(tmp_path / "missing.json"))
+
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"version": 1, "seed": 1, "out": "\xff"}')
+    with pytest.raises(ConfigError, match="not valid JSON: 'utf-8' codec"):
+        load_config_file(str(not_utf8))
+    assert main(["--config", str(not_utf8)]) == 1
 
 
 def test_build_config_emit_parsing():

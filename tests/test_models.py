@@ -1,6 +1,7 @@
 """Domain type invariants."""
 
 import datetime
+from array import array
 
 import pytest
 
@@ -8,6 +9,7 @@ from splitstudy.errors import DataError
 from splitstudy.models import (
     BarTable,
     EventWindow,
+    OffsetSeries,
     ReferenceRateSeries,
     SplitEvent,
     TradingBar,
@@ -70,7 +72,7 @@ def test_window_offsets_strictly_increasing_and_contain_zero():
     window = window_for([10.0] * 21)
     assert list(window.offsets) == list(range(-10, 11))
     assert 0 in window.offsets
-    assert window.bar_at(0).date >= window.event.effective_date
+    assert window.bars.dates[window.offsets.index(0)] >= window.event.effective_date
 
 
 def test_window_rejects_mislabeled_anchor():
@@ -80,7 +82,7 @@ def test_window_rejects_mislabeled_anchor():
         EventWindow(
             event=event,
             bars=BarTable.from_bars(bars),
-            offsets=(-2, -1, 0),  # offset 0 bar predates the effective date
+            offsets=range(-2, 1),  # offset 0 bar predates the effective date
             coverage=1.0,
             span=(-2, 0),
         )
@@ -90,9 +92,23 @@ def test_window_bars_between_and_coverage():
     window = window_for([10.0] * 11)
     offsets, rows = window.between(-2, 2)
     assert list(offsets) == [-2, -1, 0, 1, 2] and len(window.bars.dates[rows]) == 5
-    assert window.coverage_between(-5, 5) == 1.0
-    with pytest.raises(DataError):
-        window.coverage_between(3, 1)
+    # Past the window's edges only the present offsets come back.
+    offsets, rows = window.between(-9, 9)
+    assert offsets == range(-5, 6) and len(window.bars.dates[rows]) == 11
+    offsets, rows = window.between(3, 1)
+    assert not offsets and not window.bars.dates[rows]
+
+
+@pytest.mark.parametrize(
+    "offsets", [(-1, 0, 1), [-1, 0, 1], range(-2, 4, 2)], ids=["tuple", "list", "stepped"]
+)
+def test_offsets_must_be_a_step_1_range(offsets):
+    bars = daily_bars([10.0, 11.0, 12.0])
+    event = SplitEvent("X", bars[1].date, 2.0)
+    with pytest.raises(DataError, match="step-1 range"):
+        EventWindow(event, BarTable.from_bars(bars), offsets, coverage=1.0)
+    with pytest.raises(DataError, match="step-1 range"):
+        OffsetSeries(offsets, array("d", [1.0, 2.0, 3.0]))
 
 
 def test_bar_table_sorts_rows_and_slices_by_ticker():

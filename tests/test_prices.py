@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from splitstudy.demo import demo_universe
 from splitstudy.errors import DataError
-from splitstudy.models import BarTable, EventWindow, SplitEvent
+from splitstudy.models import BarTable
 from splitstudy.prices import (
     CLOSE,
+    NEAREST_TOLERANCE,
     RAW,
     SPLIT_ADJUSTED,
     gap_means,
@@ -20,10 +21,10 @@ from splitstudy.prices import (
     value_factor,
 )
 from splitstudy.report import GAP_SPAN, RunParams
-from splitstudy.synthetic import ScenarioSpec, generate_history, trading_calendar
+from splitstudy.synthetic import ScenarioSpec, generate_history
 from splitstudy.windows import align_to_event
 
-from conftest import START, make_bar, window_for
+from conftest import window_for
 
 
 def _window_183(closes, **kwargs):
@@ -228,7 +229,7 @@ def test_gaps_are_never_negative():
 
 
 def _full_scan_price_at(
-    window, offset, price_field, tolerance, min_offset=None, max_offset=None
+    window, offset, price_field, min_offset=None, max_offset=None
 ):
     """Brute-force oracle: scan every offset for the (distance, offset) minimum."""
     best = None
@@ -238,32 +239,15 @@ def _full_scan_price_at(
         if max_offset is not None and candidate > max_offset:
             continue
         distance = abs(candidate - offset)
-        if distance > tolerance:
+        if distance > NEAREST_TOLERANCE:
             continue
         if best is None or (distance, candidate) < best:
             best = (distance, candidate)
     if best is None:
-        raise DataError(f"no bar within {tolerance} trading days of offset {offset}")
-    return getattr(window.bar_at(best[1]), price_field)
-
-
-@st.composite
-def _interior_gap_windows(draw):
-    """Hand-built window over an arbitrary offset subset containing 0."""
-    span = draw(st.integers(0, 10))
-    keep = draw(st.lists(st.booleans(), min_size=2 * span + 1, max_size=2 * span + 1))
-    offsets = [o for o, k in zip(range(-span, span + 1), keep) if k or o == 0]
-    dates = trading_calendar(START, 2 * span + 1)
-    # close 100 + offset makes the returned price name the chosen offset
-    bars = [make_bar(date=dates[o + span], close=100.0 + o) for o in offsets]
-    event = SplitEvent("X", dates[span], 2.0)
-    return EventWindow(
-        event=event,
-        bars=BarTable.from_bars(bars),
-        offsets=tuple(offsets),
-        coverage=len(offsets) / (2 * span + 1),
-        span=(-span, span),
-    )
+        raise DataError(
+            f"no bar within {NEAREST_TOLERANCE} trading days of offset {offset}"
+        )
+    return getattr(window.bars, price_field)[window.offsets.index(best[1])]
 
 
 @st.composite
@@ -278,44 +262,42 @@ def _edge_gap_windows(draw):
 
 
 @settings(max_examples=300)
-@given(
-    window=st.one_of(_interior_gap_windows(), _edge_gap_windows()),
-    tolerance=st.integers(0, 5),
-    data=st.data(),
-)
-def test_price_at_probe_matches_full_scan(window, tolerance, data):
+@given(window=_edge_gap_windows(), data=st.data())
+def test_price_at_probe_matches_full_scan(window, data):
     lo, hi = window.span
     near_span = st.integers(lo - 6, hi + 6)
-    # offsets inside a gap are where the nearest-bar search and ties matter
-    gaps = [o for o in range(lo, hi + 1) if window.bar_at(o) is None]
+    # requested offsets past the series are where the nearest-bar rule matters
+    gaps = [o for o in range(lo, hi + 1) if o not in window.offsets]
     offset = data.draw(st.sampled_from(gaps) | near_span if gaps else near_span)
     min_offset = data.draw(st.none() | near_span)
     max_offset = data.draw(st.none() | near_span)
-    args = (window, offset, CLOSE, tolerance, min_offset, max_offset)
+    args = (window, offset, CLOSE, min_offset, max_offset)
     try:
         expected = _full_scan_price_at(*args)
-    except DataError:
-        with pytest.raises(DataError):
+    except DataError as exc:
+        with pytest.raises(DataError) as caught:
             price_at(*args)
+        assert str(caught.value) == str(exc)
     else:
         assert price_at(*args) == expected
 
 
-def test_price_at_tie_prefers_earlier_offset():
-    dates = trading_calendar(START, 7)
-    offsets = (-3, -1, 0, 1, 3)
-    window = EventWindow(
-        event=SplitEvent("X", dates[3], 2.0),
-        bars=BarTable.from_bars(
-            make_bar(date=dates[o + 3], close=100.0 + o) for o in offsets
-        ),
-        offsets=offsets,
-        coverage=5 / 7,
-        span=(-3, 3),
+def test_price_at_clamps_into_bounds():
+    # offsets -3..3 with close 100 + offset, so a price names its offset
+    window = window_for([100.0 + o for o in range(-3, 4)], split_index=3)
+    assert window.offsets == range(-3, 4)
+    assert price_at(window, 6, CLOSE) == 103.0  # 3 past the last bar
+    assert price_at(window, -6, CLOSE) == 97.0
+    assert price_at(window, 1, CLOSE, max_offset=-1) == 99.0
+    assert price_at(window, -2, CLOSE, min_offset=0) == 100.0
+    assert price_at(window, 0, CLOSE, min_offset=-2, max_offset=-2) == 98.0
+    out_of_reach = (
+        (7, {}),
+        (-7, {}),
+        (3, {"max_offset": -1}),
+        (0, {"min_offset": 4}),  # past the window
+        (0, {"min_offset": 1, "max_offset": -1}),  # no offset allowed
     )
-    assert price_at(window, -2, CLOSE) == 97.0
-    assert price_at(window, 2, CLOSE) == 101.0
-    assert price_at(window, 2, CLOSE, min_offset=2) == 103.0
-    assert price_at(window, -2, CLOSE, max_offset=-2) == 97.0
-    with pytest.raises(DataError):
-        price_at(window, -2, CLOSE, tolerance=0)
+    for offset, bounds in out_of_reach:
+        with pytest.raises(DataError, match=f"within 3 trading days of offset {offset}$"):
+            price_at(window, offset, CLOSE, **bounds)

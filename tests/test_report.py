@@ -23,7 +23,8 @@ from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, DataError, NoSamplesError
 from splitstudy.ingest import write_bars, write_splits
 from splitstudy.models import BarTable, OffsetSeries, SplitEvent, group_by_ticker
-from splitstudy.prices import RAW, SPLIT_ADJUSTED
+from splitstudy.fundamentals import IndexedProfitRow
+from splitstudy.prices import RAW, SPLIT_ADJUSTED, GapSeries
 from splitstudy.report import (
     HYPOTHESES,
     VOLUME_BASES,
@@ -33,6 +34,7 @@ from splitstudy.report import (
     _aggregate,
     _encode,
     _field,
+    _finite,
     _pct,
     _points,
     _ratio,
@@ -202,6 +204,27 @@ def test_json_is_strict(demo_report):
         report = dataclasses.replace(demo_report, samples=[sample])
         with pytest.raises(ValueError, match="JSON compliant"):
             report.to_json()
+
+
+def test_finite_finds_a_non_finite_float_at_any_depth():
+    def gaps(*values):
+        return GapSeries(RAW, 1.0, 1.0, range(len(values)), array("d", values))
+
+    finite = [
+        1.0, 0, None, "inf", True, range(3), array("q", [2**62]), gaps(0.0, 1e308),
+        IndexedProfitRow("X", 2014, {2014: 0.0, 2015: -1e308}, 3.5),
+        [(1, 2.0), {"a": [0.5]}],
+    ]
+    for bad in (math.inf, -math.inf, math.nan):
+        assert _finite(bad) is False
+        for holder in (
+            [1.0, bad], (bad,), {"a": 1.0, "b": bad}, [[{"a": (bad,)}]],
+            gaps(0.0, bad), GapSeries(RAW, 1.0, bad, range(1), array("d", [0.0])),
+            IndexedProfitRow("X", 2014, {2014: 0.0, 2015: bad}, 3.5),
+        ):
+            assert _finite(holder) is False, holder
+    for value in finite:
+        assert _finite(value) is True, value
 
 
 def _stdlib(value):

@@ -198,12 +198,12 @@ def test_abnormal_return_cancellation_and_horizon_zero():
     closes = [10.0] * 160
     window = window_for(closes, split_index=130, pre=125, post=29)
     est = BetaEstimate(beta=1.0, variant=COVARIANCE, n_obs=10)
-    result = abnormal_return(window, None, 21, beta_estimate=est)
+    result = abnormal_return(window, 21, est)
     assert result.abnormal == 0.0
     assert result.normal_return == 1.0
 
     est_2 = BetaEstimate(beta=-0.7, variant=COVARIANCE, n_obs=10)
-    at_zero = abnormal_return(window, None, 0, beta_estimate=est_2)
+    at_zero = abnormal_return(window, 0, est_2)
     assert at_zero.market_influenced_return == -0.7
     assert at_zero.abnormal == -0.7 - at_zero.normal_return
 
@@ -213,7 +213,7 @@ def test_abnormal_return_engineered_one_month_move():
     closes = [10.0] * 131 + [10.0 * 1.3059] * 29
     window = window_for(closes, split_index=130, pre=125, post=29)
     est = BetaEstimate(beta=1.0, variant=COVARIANCE, n_obs=10)
-    result = abnormal_return(window, None, 21, beta_estimate=est)
+    result = abnormal_return(window, 21, est)
     assert 100.0 * result.abnormal == pytest.approx(30.59, abs=1e-9)
 
 
@@ -223,10 +223,8 @@ def test_abnormal_return_demarcation_baseline():
     closes[130 - 60] = 12.0  # demarcation price still 10
     window = window_for(closes, split_index=130, pre=125, post=9)
     est = BetaEstimate(beta=1.0, variant=COVARIANCE, n_obs=10)
-    plain = abnormal_return(window, None, 5, beta_estimate=est)
-    demarc = abnormal_return(
-        window, None, 5, beta_estimate=est, baseline=DEMARCATION
-    )
+    plain = abnormal_return(window, 5, est)
+    demarc = abnormal_return(window, 5, est, DEMARCATION)
     assert demarc.baseline == DEMARCATION
     assert demarc.abnormal == pytest.approx(plain.abnormal, rel=1e-12)
 
@@ -251,9 +249,7 @@ def test_abnormal_return_recovers_injected_drift():
             )
         )
         window = align_to_event(bars, event, 125, 30)
-        values.append(
-            abnormal_return(window, None, horizon, beta_estimate=est).abnormal
-        )
+        values.append(abnormal_return(window, horizon, est).abnormal)
     mean = sum(values) / len(values)
     sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
     se = sd / math.sqrt(len(values))
@@ -265,4 +261,4 @@ def test_abnormal_return_insufficient_coverage():
     window = window_for([10.0] * 30, split_index=25)
     est = BetaEstimate(beta=1.0, variant=COVARIANCE, n_obs=10)
     with pytest.raises(CoverageError):
-        abnormal_return(window, None, 21, beta_estimate=est)
+        abnormal_return(window, 21, est)

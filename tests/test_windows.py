@@ -20,7 +20,7 @@ def test_continuous_series_gives_full_183_day_window():
     assert len(window) == 183
     assert window.coverage == 1.0
     assert window.offsets[0] == -91 and window.offsets[-1] == 91
-    assert window.bar_at(0).date == event.effective_date
+    assert window.bars.dates[window.offsets.index(0)] == event.effective_date
 
 
 def test_zero_span_window_is_single_anchor_bar():
@@ -36,7 +36,8 @@ def test_weekend_effective_date_anchors_next_trading_day():
     saturday = D(2013, 1, 12)
     assert saturday.weekday() == 5
     window = align_to_event(bars, SplitEvent("X", saturday, 2.0), 2, 2)
-    assert window.bar_at(0).date == D(2013, 1, 14)  # the following Monday
+    # the following Monday
+    assert window.bars.dates[window.offsets.index(0)] == D(2013, 1, 14)
 
 
 def test_gapped_series_fails_min_coverage():
