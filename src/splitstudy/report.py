@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -106,6 +107,12 @@ POST_CHANGE_MONTHS = (3, 6, 9, 12)
 AROUND_SPLIT_MONTHS = (1, 2, 3, 4)
 ABNORMAL_MONTHS = (1, 2, 3, 4)
 VALUE_FACTOR_MONTHS = (6, 12)
+
+# The fewest samples report.json's encoding splits between two processes:
+# below it, the fork costs more than the half of the samples it takes over.
+# On a shared 2-core machine an emit of both formats, whose CSV child runs
+# alongside, broke even at 20-32 demo-sized samples (to_json alone: 9-16).
+FORK_MIN_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -233,8 +240,10 @@ class AnalysisReport:
         """``json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\\n"``.
 
         Each sample's dict is built, encoded and dropped in turn, and every
-        piece goes into one list joined once, so at the peak only the pieces
-        and the finished text are alive.
+        piece goes into one list joined once. A report of at least
+        ``FORK_MIN_SAMPLES`` samples may have a forked child encode the
+        second half of them (``_encode_samples``). At the peak only this
+        process's pieces, the child's text and the finished text are alive.
         """
         parts = []
         sep = "{\n  "
@@ -244,13 +253,60 @@ class AnalysisReport:
             if key != "samples" or not value:
                 parts.append(_encode(value, 1))
                 continue
-            item_sep = "[\n    "
-            for s in value:
-                parts += (item_sep, _encode(_sample_dict(s, self.params), 2))
-                item_sep = ",\n    "
+            parts += _encode_samples(value, self.params)
             parts.append("\n  ]")
         parts.append("\n}\n")
         return "".join(parts)
+
+
+_NEXT_SAMPLE = ",\n    "  # between two samples in report.json's array
+
+
+def _sample_pieces(
+    samples: Sequence[SampleAnalysis], params: RunParams, sep: str = "[\n    "
+) -> Iterator[str]:
+    """Each sample's text at depth 2, after ``sep`` for the first sample (by
+    default the array's opening) and after ``_NEXT_SAMPLE`` for the others."""
+    for s in samples:
+        yield sep
+        yield _encode(_sample_dict(s, params), 2)
+        sep = _NEXT_SAMPLE
+
+
+def _send_pieces(samples: Sequence[SampleAnalysis], params: RunParams, sink) -> None:
+    """Write the pieces of ``samples``, which follow earlier samples, to
+    ``sink`` as ASCII bytes once all of them are encoded: a full pipe would
+    stop the encoding until the reader reads."""
+    pieces = _sample_pieces(samples, params, _NEXT_SAMPLE)
+    sink.writelines([piece.encode("ascii") for piece in pieces])
+    sink.flush()
+
+
+def _encode_samples(
+    samples: Sequence[SampleAnalysis], params: RunParams
+) -> Iterable[str]:
+    """The pieces of a non-empty samples array's text, from its ``[`` to its
+    last sample.
+
+    With at least ``FORK_MIN_SAMPLES`` samples, when ``ingest.may_fork``
+    allows, a forked child encodes the second half and sends it through a
+    pipe while this process encodes the first. A child that fails leaves its
+    half to this process, which then raises what it meets; an exception in
+    the first half kills the child. The text is the same either way.
+    """
+    if len(samples) < FORK_MIN_SAMPLES or not may_fork():
+        return _sample_pieces(samples, params)
+    cut = len(samples) // 2
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        with forked(lambda: _send_pieces(samples[cut:], params, sink)) as wait:
+            sink.close()
+            parts = list(_sample_pieces(samples[:cut], params))
+            tail = [pipe.read().decode("ascii")]
+            if wait() != 0:  # this process encodes the failed child's half
+                tail = _sample_pieces(samples[cut:], params, _NEXT_SAMPLE)
+    parts += tail
+    return parts
 
 
 def _encode(o: Any, level: int) -> str:
@@ -926,12 +982,15 @@ def _abnormal_rows(baseline, sid, s, params) -> Iterator[str]:
 
 def _gap_rows(sid, s, params) -> list[str]:
     # Both bases are one window over [-GAP_SPAN, GAP_SPAN]: the same offsets.
+    # An absent base leaves its field empty.
     raw = (s.gap_90 or {}).get(RAW)
     adj = (s.gap_90 or {}).get(SPLIT_ADJUSTED)
-    if raw is None or adj is None:
+    present = raw if raw is not None else adj
+    if present is None:
         return []
+    raw_gaps, adj_gaps = (repeat(None) if g is None else g.gaps for g in (raw, adj))
     return [f"{sid},{offset},{_ratio(gap)},{_ratio(gap_adj)}\r\n"
-            for offset, gap, gap_adj in zip(raw.offsets, raw.gaps, adj.gaps)]
+            for offset, gap, gap_adj in zip(present.offsets, raw_gaps, adj_gaps)]
 
 
 def _gap_mean_rows(sid, s, params) -> Iterator[str]:
@@ -1017,10 +1076,12 @@ def emit(
     both formats are written and ``ingest.may_fork`` allows, a forked child
     writes the CSVs while this process writes report.json; a child that
     fails leaves them to this process, which then raises what it meets.
-    CSV-only and JSON-only output is written by this process alone. The
-    files are the same either way, except when report.json cannot be
-    written: this process then waits for the child before it raises, so the
-    CSVs the child wrote stay, each one whole.
+    CSV-only output is written by this process alone. From
+    ``FORK_MIN_SAMPLES`` samples on, ``to_json`` has another forked child
+    encode half of report.json's samples, whatever the formats. The files
+    are the same either way, except when report.json cannot be written:
+    this process then waits for the CSV child before it raises, so the
+    CSVs it wrote stay, each one whole.
     """
     for fmt in formats:
         if fmt not in ("json", "csv"):

@@ -211,17 +211,16 @@ def paired_returns(
     """
     rows, bars = window.between(lo, hi)[1], window.bars
     matched = [
-        (date, price)
+        (price, rate)
         for date, price in zip(bars.dates[rows], bars.adj_close[rows])
-        if rates.rate_on(date) is not None
+        if (rate := rates.rate_on(date)) is not None
     ]
     if len(matched) < 3:
         raise CoverageError(
             f"only {len(matched)} window dates match the reference series"
         )
-    closes = [price for _, price in matched]
-    stock = pct_change_series(closes)
-    reference = [rates.rate_on(date) for date, _ in matched[1:]]
+    stock = pct_change_series([price for price, _ in matched])
+    reference = [rate for _, rate in matched[1:]]
     return stock, reference
 
 

@@ -103,6 +103,12 @@ def test_metrics_that_overflow_are_absent_not_fatal(tmp_path, capsys):
     for path in csvs:
         fields = path.read_text().replace("\n", ",").split(",")
         assert not {f.lower() for f in fields} & {"inf", "-inf", "nan"}, path.name
+    # fig13 keeps the split-adjusted gaps; the absent raw gap's field is empty.
+    adjusted = sample["h3"]["gap_90"]["split_adjusted"]["series"]
+    rows = [row.split(",") for row in (out / "fig13.csv").read_text().splitlines()]
+    assert len(rows) == 1 + 181
+    assert [row[1:3] for row in rows[1:]] == [[str(o), ""] for o, _ in adjusted]
+    assert all(row[3] for row in rows[1:])
 
 
 def test_unknown_selector_exit_code_one(tmp_path):
