@@ -114,6 +114,12 @@ VALUE_FACTOR_MONTHS = (6, 12)
 # alongside, broke even at 20-32 demo-sized samples (to_json alone: 9-16).
 FORK_MIN_SAMPLES = 32
 
+# Bytes read from the encoding child's pipe, and characters written to
+# report.json, at a time: beside report.json's text, the run process then
+# holds one chunk in transit instead of a second whole-size copy. 1 MiB
+# chunks ran no faster and held about 1 MB more at wide200's peak.
+CHUNK = 64 * 1024
+
 
 @dataclass(frozen=True)
 class RunParams:
@@ -242,8 +248,9 @@ class AnalysisReport:
         Each sample's dict is built, encoded and dropped in turn, and every
         piece goes into one list joined once. A report of at least
         ``FORK_MIN_SAMPLES`` samples may have a forked child encode the
-        second half of them (``_encode_samples``). At the peak only this
-        process's pieces, the child's text and the finished text are alive.
+        second half of them (``_encode_samples``), whose text this process
+        reads as ``CHUNK``-sized strings. At the peak only this process's
+        pieces, those strings and the finished text are alive.
         """
         parts = []
         sep = "{\n  "
@@ -290,9 +297,11 @@ def _encode_samples(
 
     With at least ``FORK_MIN_SAMPLES`` samples, when ``ingest.may_fork``
     allows, a forked child encodes the second half and sends it through a
-    pipe while this process encodes the first. A child that fails leaves its
-    half to this process, which then raises what it meets; an exception in
-    the first half kills the child. The text is the same either way.
+    pipe while this process encodes the first, then reads the pipe in
+    ``CHUNK``-byte chunks and decodes each one (``_ascii_chunks``), never
+    holding the whole half as bytes. A child that fails leaves its half to
+    this process, which then raises what it meets; an exception in the
+    first half kills the child. The text is the same either way.
     """
     if len(samples) < FORK_MIN_SAMPLES or not may_fork():
         return _sample_pieces(samples, params)
@@ -302,11 +311,18 @@ def _encode_samples(
         with forked(lambda: _send_pieces(samples[cut:], params, sink)) as wait:
             sink.close()
             parts = list(_sample_pieces(samples[:cut], params))
-            tail = [pipe.read().decode("ascii")]
+            tail = _ascii_chunks(pipe)
             if wait() != 0:  # this process encodes the failed child's half
                 tail = _sample_pieces(samples[cut:], params, _NEXT_SAMPLE)
     parts += tail
     return parts
+
+
+def _ascii_chunks(stream) -> list[str]:
+    """The ASCII bytes of ``stream`` up to its end, as strings of at most
+    ``CHUNK`` characters: no character spans two chunks, and only one chunk
+    is held as bytes at a time."""
+    return [chunk.decode("ascii") for chunk in iter(lambda: stream.read(CHUNK), b"")]
 
 
 def _encode(o: Any, level: int) -> str:
@@ -1078,10 +1094,13 @@ def emit(
     fails leaves them to this process, which then raises what it meets.
     CSV-only output is written by this process alone. From
     ``FORK_MIN_SAMPLES`` samples on, ``to_json`` has another forked child
-    encode half of report.json's samples, whatever the formats. The files
-    are the same either way, except when report.json cannot be written:
-    this process then waits for the CSV child before it raises, so the
-    CSVs it wrote stay, each one whole.
+    encode half of report.json's samples, whatever the formats. report.json
+    is opened only once ``to_json`` has returned, so a report that cannot
+    be encoded leaves no report.json, and its text is written in
+    ``CHUNK``-character slices rather than encoded whole. The files are the
+    same either way, except when report.json cannot be written: this
+    process then waits for the CSV child before it raises, so the CSVs it
+    wrote stay, each one whole.
     """
     for fmt in formats:
         if fmt not in ("json", "csv"):
@@ -1116,7 +1135,10 @@ def emit(
     with forked(write_csvs) if in_child else nullcontext() as wait:
         try:
             for path in json_paths:
-                path.write_text(report.to_json(), encoding="utf-8")
+                text = report.to_json()  # first: a failing one leaves no file
+                with path.open("w", encoding="utf-8") as fh:
+                    for start in range(0, len(text), CHUNK):
+                        fh.write(text[start : start + CHUNK])
         finally:  # a failed report.json still waits: each CSV is left whole
             csvs_written = wait is not None and wait() == 0
     if not csvs_written:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import signal
 
 import pytest
 
@@ -14,11 +15,36 @@ from splitstudy.windows import align_to_event
 
 START = datetime.date(2013, 1, 1)
 
+# The longest a test may run, where the platform has SIGALRM. The slowest
+# test takes a few seconds; a fork helper that leaves a pipe end open blocks
+# forever, and this makes it fail instead of stalling the suite.
+TEST_DEADLINE_S = 120
+
 # The acceptance gate (test_acceptance.py) is kept byte for byte and still
 # imports the brute-force oracles from splitstudy.synthetic, their home
 # before they moved to tests/oracles.py; hand them to it from here.
 for _name in ("oracle_sum", "oracle_moments", "oracle_ols"):
     setattr(splitstudy.synthetic, _name, getattr(oracles, _name))
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail the test once it has run ``TEST_DEADLINE_S`` seconds. A forked
+    child does not inherit the alarm."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test still running after its {TEST_DEADLINE_S} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_bar(

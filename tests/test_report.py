@@ -501,6 +501,26 @@ def test_csv_emit_peak_does_not_grow_with_samples(demo_report, tmp_path):
     assert peak(8) < 2 * peak(1)
 
 
+def test_emit_writes_report_json_without_a_copy_of_its_text(demo_report, tmp_path):
+    # Given the text, emit holds one slice of it at a time beside it, not
+    # the whole text encoded as bytes.
+    report = _repeated(demo_report, 8)
+    text = report.to_json()
+    with mock.patch.object(type(report), "to_json", return_value=text):
+        peak = _traced_peak(lambda: emit(report, tmp_path, ("json",)))
+    assert peak < len(text) / 8
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == text
+
+
+def test_child_half_is_read_in_bounded_chunks():
+    # pipe.read().decode() would hold the bytes and the string at once.
+    data = b"x" * 4_000_000
+    stream, chunks = io.BytesIO(data), []
+    peak = _traced_peak(lambda: chunks.extend(report_module._ascii_chunks(stream)))
+    assert peak < 1.5 * len(data)
+    assert "".join(chunks) == data.decode("ascii")
+
+
 @pytest.mark.parametrize("n_tickers", [4, 16])
 def test_samples_retain_few_bytes_per_sample(n_tickers):
     # A sample holds its series as arrays and the half-year gaps only as
