@@ -152,10 +152,10 @@ def parse_bars(path: str | Path) -> BarTable:
     past the middle byte while a forked child reads the rest and sends its
     columns back over a pipe. A file is plain when it is a regular file
     (a pipe can be read only once), its first line is exactly the header
-    and it holds no quote, so that every newline ends a row. Everything else goes through the serial read, which alone raises,
-    numbers lines and sorts: a file that is not plain, and a fault, an
-    unsorted or repeated row, a decoding error or a failed child in either
-    half. The table is the same either way.
+    and it holds no quote, so every newline ends a row. Anything else goes
+    to the serial read, which alone raises, numbers lines and sorts: a file
+    that is not plain, and a fault, an unsorted or repeated row, a decoding
+    error or a failed child in either half. Both reads give the same table.
     """
     path = Path(path)
     if may_fork():

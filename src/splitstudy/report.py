@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -108,16 +107,9 @@ AROUND_SPLIT_MONTHS = (1, 2, 3, 4)
 ABNORMAL_MONTHS = (1, 2, 3, 4)
 VALUE_FACTOR_MONTHS = (6, 12)
 
-# The fewest samples report.json's encoding splits between two processes:
-# below it, the fork costs more than the half of the samples it takes over.
-# On a shared 2-core machine an emit of both formats, whose CSV child runs
-# alongside, broke even at 20-32 demo-sized samples (to_json alone: 9-16).
-FORK_MIN_SAMPLES = 32
-
-# Bytes read from the encoding child's pipe, and characters written to
-# report.json, at a time: beside report.json's text, the run process then
-# holds one chunk in transit instead of a second whole-size copy. 1 MiB
-# chunks ran no faster and held about 1 MB more at wide200's peak.
+# Characters of report.json's text written to the file at a time: beside
+# the text, emit then holds one slice instead of the whole text encoded.
+# 1 MiB slices ran no faster and held about 1 MB more at wide200's peak.
 CHUNK = 64 * 1024
 
 
@@ -246,11 +238,8 @@ class AnalysisReport:
         """``json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\\n"``.
 
         Each sample's dict is built, encoded and dropped in turn, and every
-        piece goes into one list joined once. A report of at least
-        ``FORK_MIN_SAMPLES`` samples may have a forked child encode the
-        second half of them (``_encode_samples``), whose text this process
-        reads as ``CHUNK``-sized strings. At the peak only this process's
-        pieces, those strings and the finished text are alive.
+        piece goes into one list joined once: at the peak only the pieces
+        and the finished text are alive.
         """
         parts = []
         sep = "{\n  "
@@ -260,69 +249,13 @@ class AnalysisReport:
             if key != "samples" or not value:
                 parts.append(_encode(value, 1))
                 continue
-            parts += _encode_samples(value, self.params)
+            item_sep = "[\n    "
+            for s in value:
+                parts += (item_sep, _encode(_sample_dict(s, self.params), 2))
+                item_sep = ",\n    "
             parts.append("\n  ]")
         parts.append("\n}\n")
         return "".join(parts)
-
-
-_NEXT_SAMPLE = ",\n    "  # between two samples in report.json's array
-
-
-def _sample_pieces(
-    samples: Sequence[SampleAnalysis], params: RunParams, sep: str = "[\n    "
-) -> Iterator[str]:
-    """Each sample's text at depth 2, after ``sep`` for the first sample (by
-    default the array's opening) and after ``_NEXT_SAMPLE`` for the others."""
-    for s in samples:
-        yield sep
-        yield _encode(_sample_dict(s, params), 2)
-        sep = _NEXT_SAMPLE
-
-
-def _send_pieces(samples: Sequence[SampleAnalysis], params: RunParams, sink) -> None:
-    """Write the pieces of ``samples``, which follow earlier samples, to
-    ``sink`` as ASCII bytes once all of them are encoded: a full pipe would
-    stop the encoding until the reader reads."""
-    pieces = _sample_pieces(samples, params, _NEXT_SAMPLE)
-    sink.writelines([piece.encode("ascii") for piece in pieces])
-    sink.flush()
-
-
-def _encode_samples(
-    samples: Sequence[SampleAnalysis], params: RunParams
-) -> Iterable[str]:
-    """The pieces of a non-empty samples array's text, from its ``[`` to its
-    last sample.
-
-    With at least ``FORK_MIN_SAMPLES`` samples, when ``ingest.may_fork``
-    allows, a forked child encodes the second half and sends it through a
-    pipe while this process encodes the first, then reads the pipe in
-    ``CHUNK``-byte chunks and decodes each one (``_ascii_chunks``), never
-    holding the whole half as bytes. A child that fails leaves its half to
-    this process, which then raises what it meets; an exception in the
-    first half kills the child. The text is the same either way.
-    """
-    if len(samples) < FORK_MIN_SAMPLES or not may_fork():
-        return _sample_pieces(samples, params)
-    cut = len(samples) // 2
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-        with forked(lambda: _send_pieces(samples[cut:], params, sink)) as wait:
-            sink.close()
-            parts = list(_sample_pieces(samples[:cut], params))
-            tail = _ascii_chunks(pipe)
-            if wait() != 0:  # this process encodes the failed child's half
-                tail = _sample_pieces(samples[cut:], params, _NEXT_SAMPLE)
-    parts += tail
-    return parts
-
-
-def _ascii_chunks(stream) -> list[str]:
-    """The ASCII bytes of ``stream`` up to its end, as strings of at most
-    ``CHUNK`` characters: no character spans two chunks, and only one chunk
-    is held as bytes at a time."""
-    return [chunk.decode("ascii") for chunk in iter(lambda: stream.read(CHUNK), b"")]
 
 
 def _encode(o: Any, level: int) -> str:
@@ -1092,11 +1025,9 @@ def emit(
     both formats are written and ``ingest.may_fork`` allows, a forked child
     writes the CSVs while this process writes report.json; a child that
     fails leaves them to this process, which then raises what it meets.
-    CSV-only output is written by this process alone. From
-    ``FORK_MIN_SAMPLES`` samples on, ``to_json`` has another forked child
-    encode half of report.json's samples, whatever the formats. report.json
-    is opened only once ``to_json`` has returned, so a report that cannot
-    be encoded leaves no report.json, and its text is written in
+    CSV-only output is written by this process alone. report.json is
+    opened only once ``to_json`` has returned, so a report that cannot be
+    encoded leaves no report.json, and its text is written in
     ``CHUNK``-character slices rather than encoded whole. The files are the
     same either way, except when report.json cannot be written: this
     process then waits for the CSV child before it raises, so the CSVs it

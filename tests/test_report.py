@@ -512,15 +512,6 @@ def test_emit_writes_report_json_without_a_copy_of_its_text(demo_report, tmp_pat
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == text
 
 
-def test_child_half_is_read_in_bounded_chunks():
-    # pipe.read().decode() would hold the bytes and the string at once.
-    data = b"x" * 4_000_000
-    stream, chunks = io.BytesIO(data), []
-    peak = _traced_peak(lambda: chunks.extend(report_module._ascii_chunks(stream)))
-    assert peak < 1.5 * len(data)
-    assert "".join(chunks) == data.decode("ascii")
-
-
 @pytest.mark.parametrize("n_tickers", [4, 16])
 def test_samples_retain_few_bytes_per_sample(n_tickers):
     # A sample holds its series as arrays and the half-year gaps only as
@@ -675,63 +666,13 @@ def test_emit_does_not_fork_for_one_format_or_while_another_thread_runs(
     assert not thread.is_alive()
 
 
-# report.json's samples encoded in two processes (to_json with a forked
-# child) against one.
-
-
-def test_to_json_gives_the_same_text_with_a_child_and_without(demo_report):
-    report = _repeated(demo_report, 4)  # 36 samples, the child encodes 18
-    expected = _stdlib(report.to_dict()) + "\n"
+def test_emit_of_many_samples_forks_only_for_the_csvs(demo_report, tmp_path):
+    # report.json is encoded by this process however many samples there are.
+    report = _repeated(demo_report, 4)  # 36 samples
     with mock.patch("os.fork", wraps=os.fork) as fork:
-        assert report.to_json() == expected
-    assert fork.call_count == 1
-    _no_child_left()
-    with mock.patch.object(report_module, "may_fork", return_value=False):
-        assert report.to_json() == expected
-    no_process = BlockingIOError(11, "Resource temporarily unavailable")
-    with mock.patch("os.fork", side_effect=no_process) as fork:
-        assert report.to_json() == expected
-    assert fork.call_count == 1
-
-
-@pytest.mark.parametrize("index", [2, 30], ids=["first-half", "child-half"])
-def test_to_json_failing_in_either_half_raises_as_alone(demo_report, index):
-    # A NaN in the child's half makes the child fail, and this process then
-    # meets it; a NaN in the first half ends the encoding with the child
-    # still running, and the child is killed.
-    series = OffsetSeries(range(2), array("d", [1.0, math.nan]))
-    samples = _repeated(demo_report, 4).samples
-    samples[index] = dataclasses.replace(samples[index], volume_series=series)
-    report = dataclasses.replace(demo_report, samples=samples)
-
-    def failure(forks):
-        with mock.patch.object(report_module, "may_fork", return_value=forks):
-            with pytest.raises(ValueError, match="JSON compliant") as exc_info:
-                report.to_json()
-        return str(exc_info.value)
-
-    with mock.patch("os.fork", wraps=os.fork) as fork:
-        with_child = failure(True)
-    assert fork.call_count == 1
-    _no_child_left()
-    assert with_child == failure(False)
-
-
-def test_to_json_forks_from_fork_min_samples_on(demo_report):
-    assert report_module.FORK_MIN_SAMPLES == 32
-    samples = _repeated(demo_report, 4).samples
-    for n, forks in ((31, 0), (32, 1)):
-        report = dataclasses.replace(demo_report, samples=samples[:n])
-        with mock.patch("os.fork", wraps=os.fork) as fork:
-            text = report.to_json()
-        assert fork.call_count == forks, n
-        _no_child_left()
-        assert text == _stdlib(report.to_dict()) + "\n"
-
-
-def test_emit_of_many_samples_forks_for_report_json_too(demo_report, tmp_path):
-    report = _repeated(demo_report, 4)
-    for formats, forks in ((("json",), 1), (("json", "csv"), 2)):
+        assert report.to_json() == _stdlib(report.to_dict()) + "\n"
+    assert fork.call_count == 0
+    for formats, forks in ((("json",), 0), (("json", "csv"), 1)):
         out = tmp_path / "-".join(formats)
         with mock.patch("os.fork", wraps=os.fork) as fork:
             written = emit(report, out, formats=formats)
