@@ -19,16 +19,16 @@ import csv
 import datetime
 import io
 import math
-import os
 import re
 import stat
 import sys
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import DataError
+from .fork import may_fork, piped
 from .models import (
     PRICE_COLUMNS,
     BarTable,
@@ -147,21 +147,22 @@ def _ticker(text: str, lineno: int) -> str:
 def parse_bars(path: str | Path) -> BarTable:
     """Read bars.csv into a validated BarTable, rows sorted by (ticker, date).
 
-    Where the platform can fork and no other thread runs, a plain file is
-    read by two processes: this one reads the rows up to the first line end
-    past the middle byte while a forked child reads the rest and sends its
-    columns back over a pipe. A file is plain when it is a regular file
-    (a pipe can be read only once), its first line is exactly the header
-    and it holds no quote, so every newline ends a row. Anything else goes
-    to the serial read, which alone raises, numbers lines and sorts: a file
-    that is not plain, and a fault, an unsorted or repeated row, a decoding
-    error or a failed child in either half. Both reads give the same table.
+    A plain file of ``FORK_MIN_BYTES`` or more is read by two processes,
+    where ``fork.may_fork`` allows: this one reads the rows up to the first
+    line end past the middle byte while a forked child reads the rest and
+    sends its columns back over a pipe. A smaller file is read by this
+    process alone: below the gate the fork costs more than the child saves.
+    A file is plain when it is a regular file (a pipe can be read only
+    once), its first line is exactly the header and it holds no quote, so
+    every newline ends a row. Anything else goes to the serial read, which
+    alone raises, numbers lines and sorts: a small file, one that is not
+    plain, and a fault, an unsorted or repeated row, a decoding error or a
+    failed child in either half. Both reads give the same table.
     """
     path = Path(path)
-    if may_fork():
-        table = _parse_halves(path)
-        if table is not None:
-            return table
+    table = _parse_halves(path)
+    if table is not None:
+        return table
     with _csv_reader(path, BARS_HEADER) as reader:
         (dates, prices, volumes, runs), seen = _read_bars(reader, {}, strict=False)
     if seen is not None:  # some row left (ticker, date) order: sort the rows
@@ -265,6 +266,9 @@ class _NotPlain(Exception):
     """A quote or a row that only the serial read of bars.csv handles."""
 
 
+# Bytes of bars.csv from which a forked child reads its second half, the
+# break-even on a 2-core EPYC: even at 0.98–1.19 MB, slower below 0.9 MB.
+FORK_MIN_BYTES = 1 << 20
 _HEADER = ",".join(BARS_HEADER).encode()
 _HEADER_LINES = (_HEADER, _HEADER + b"\n", _HEADER + b"\r\n")
 
@@ -276,29 +280,27 @@ def _parse_halves(path: Path) -> BarTable | None:
     Only a regular file is opened: a pipe read here would lose the bytes
     read before the serial read opens it again."""
     try:
-        if not stat.S_ISREG(path.stat().st_mode):
+        info = path.stat()
+        if not (stat.S_ISREG(info.st_mode) and may_fork(info.st_size, FORK_MIN_BYTES)):
             return None
         with path.open("rb") as fh:
             if fh.readline(len(_HEADER_LINES[-1])) not in _HEADER_LINES:
                 return None
-            start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+            start, size = fh.tell(), info.st_size
             fh.seek((start + size) // 2)
             fh.readline()
             cut = fh.tell()
     except OSError:  # the serial read names the fault
         return None
     days: dict[str, datetime.date] = {}
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-        with forked(lambda: _send_half(path, cut, size, sink)) as wait:
-            sink.close()
-            try:
-                columns = _read_half(path, start, cut, days)
-                follows = _receive_half(pipe, columns, days)
-            except (_NotPlain, csv.Error, UnicodeDecodeError, EOFError):
-                return None
-            if not follows or wait() != 0:
-                return None
+    with piped(lambda sink: _send_half(path, cut, size, sink)) as (pipe, wait):
+        try:
+            columns = _read_half(path, start, cut, days)
+            follows = _receive_half(pipe, columns, days)
+        except (_NotPlain, csv.Error, UnicodeDecodeError, EOFError):
+            return None
+        if not follows or wait() != 0:
+            return None
     return _table(*columns)
 
 
@@ -361,9 +363,8 @@ def _receive_half(pipe: Any, columns, days: dict[str, datetime.date]) -> bool:
     counts, ordinals, firsts = array("q"), array("q"), array("q")
     counts.fromfile(pipe, 3)
     n, n_runs, n_bytes = counts
-    for column in (*prices, volumes):
-        column.fromfile(pipe, n)
-    ordinals.fromfile(pipe, n)
+    for column in (*prices, volumes, ordinals):
+        _read_column(pipe, column, n)
     firsts.fromfile(pipe, n_runs)
     tickers = pipe.read(n_bytes)
     if len(tickers) != n_bytes:
@@ -386,52 +387,11 @@ def _receive_half(pipe: Any, columns, days: dict[str, datetime.date]) -> bool:
     return True
 
 
-def may_fork() -> bool:
-    """Whether this process may fork a second one: the platform has fork and
-    no other thread runs, since a lock another thread holds at the fork
-    stays locked in the child."""
-    threading = sys.modules.get("threading")
-    return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
-
-
-@contextmanager
-def forked(work: Callable[[], object]) -> Iterator[Callable[[], int]]:
-    """Run ``work`` in a forked child while the ``with`` block runs.
-
-    The block gets a function that waits for the child and returns its exit
-    code: 0 when ``work`` returned, 1 when it raised or no process could be
-    forked. The child ends in ``os._exit``, so it never returns into the
-    caller, flushes stdio or runs exit handlers. A child the block did not
-    wait for is killed when the block ends, by an exception too, and the
-    child is always reaped.
-    """
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller finds the work undone
-        pid = -1
-    if pid == 0:
-        code = 1
-        try:
-            work()
-            code = 0
-        finally:
-            os._exit(code)
-    exit_code = 1 if pid < 0 else None
-
-    def wait() -> int:
-        nonlocal exit_code
-        if exit_code is None:
-            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return exit_code
-
-    try:
-        yield wait
-    finally:
-        if exit_code is None:
-            from signal import SIGKILL  # only here: keeps the import out of start-up
-
-            os.kill(pid, SIGKILL)
-            wait()
+def _read_column(pipe: Any, column: array, n: int) -> None:
+    """Append ``n`` 8-byte items from ``pipe`` to ``column``, 64 KiB at a time:
+    read whole, a column would be held twice, as bytes and in ``column``."""
+    for left in range(n, 0, -8192):
+        column.fromfile(pipe, min(left, 8192))
 
 
 def _parse_bar_row(

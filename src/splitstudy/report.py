@@ -38,14 +38,8 @@ from .fundamentals import (
     roe,
     roe_change,
 )
-from .ingest import (
-    forked,
-    may_fork,
-    parse_bars,
-    parse_fundamentals,
-    parse_rates,
-    parse_splits,
-)
+from .fork import forked, may_fork
+from .ingest import parse_bars, parse_fundamentals, parse_rates, parse_splits
 from .models import (
     BarTable,
     EventWindow,
@@ -111,6 +105,9 @@ VALUE_FACTOR_MONTHS = (6, 12)
 # the text, emit then holds one slice instead of the whole text encoded.
 # 1 MiB slices ran no faster and held about 1 MB more at wide200's peak.
 CHUNK = 64 * 1024
+# Samples from which emit writes the CSVs in a forked child, the measured
+# break-even: the child ran even at 16 and slower at 12 (2-core EPYC).
+FORK_MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -1022,10 +1019,11 @@ def emit(
     """Write report.json and/or one CSV per figure/table selector.
 
     Every format and selector is checked before any file is written. When
-    both formats are written and ``ingest.may_fork`` allows, a forked child
-    writes the CSVs while this process writes report.json; a child that
-    fails leaves them to this process, which then raises what it meets.
-    CSV-only output is written by this process alone. report.json is
+    both formats are written for ``FORK_MIN_SAMPLES`` samples or more and
+    ``fork.may_fork`` allows, a forked child writes the CSVs while this
+    process writes report.json; a child that fails leaves them to this
+    process, which then raises what it meets. A smaller report, or
+    CSV-only output, is written by this process alone. report.json is
     opened only once ``to_json`` has returned, so a report that cannot be
     encoded leaves no report.json, and its text is written in
     ``CHUNK``-character slices rather than encoded whole. The files are the
@@ -1062,7 +1060,8 @@ def emit(
             with path.open("w", newline="", encoding="utf-8") as fh:
                 fh.writelines(SELECTORS[name][1](report.samples, report.params))
 
-    in_child = json_paths and csv_paths and may_fork()
+    samples = len(report.samples)
+    in_child = json_paths and csv_paths and may_fork(samples, FORK_MIN_SAMPLES)
     with forked(write_csvs) if in_child else nullcontext() as wait:
         try:
             for path in json_paths:

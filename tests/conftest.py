@@ -8,6 +8,8 @@ import signal
 import pytest
 
 import oracles
+import splitstudy.ingest
+import splitstudy.report
 import splitstudy.synthetic
 from splitstudy.models import SplitEvent, TradingBar
 from splitstudy.synthetic import trading_calendar
@@ -45,6 +47,14 @@ def deadline():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def ungated(monkeypatch):
+    """Lift the size gates of the two fork paths, so that a small input is
+    read and written by two processes as a large one is."""
+    monkeypatch.setattr(splitstudy.ingest, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(splitstudy.report, "FORK_MIN_SAMPLES", 0)
 
 
 def make_bar(

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -667,6 +668,7 @@ def _outcomes(path):
 
 
 @pytest.mark.parametrize("case", TWO_PROCESS_CASES)
+@pytest.mark.usefixtures("ungated")
 def test_two_process_parse_matches_serial(tmp_path, case):
     text, two_processes, error = TWO_PROCESS_CASES[case]
     path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE.rstrip("\n") + text)
@@ -679,6 +681,7 @@ def test_two_process_parse_matches_serial(tmp_path, case):
         assert serial == f"DataError: {error}"
 
 
+@pytest.mark.usefixtures("ungated")
 def test_bom_before_header_is_left_to_the_serial_read(tmp_path):
     path = _write(tmp_path, "bars.csv", "\ufeff" + BARS_HEADER_LINE + _rows(("A", 3))[0])
     outcome, two_process, serial = _outcomes(path)
@@ -689,6 +692,7 @@ def test_bom_before_header_is_left_to_the_serial_read(tmp_path):
 EOLS = ("\n", "\r\n", "\r")
 
 
+@pytest.mark.usefixtures("ungated")
 @settings(max_examples=200, deadline=None)
 @given(bars_rows(), st.data())
 def test_two_process_parse_matches_serial_on_any_rows(rows, data):
@@ -711,6 +715,7 @@ def test_two_process_parse_matches_serial_on_any_rows(rows, data):
     assert two_process == plain
 
 
+@pytest.mark.usefixtures("ungated")
 def test_parse_bars_leaves_no_child_process(tmp_path):
     rows = _rows(*STRAIGHT)
     path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
@@ -768,6 +773,7 @@ def test_parse_bars_reads_a_named_pipe_once(tmp_path):
     assert done.stdout == f"{table.dates} {list(table.volume)} {table.ranges}\n"
 
 
+@pytest.mark.usefixtures("ungated")
 def test_parse_bars_does_not_fork_while_another_thread_runs(tmp_path):
     rows = _rows(*STRAIGHT)
     path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
@@ -783,6 +789,7 @@ def test_parse_bars_does_not_fork_while_another_thread_runs(tmp_path):
     assert not thread.is_alive()
 
 
+@pytest.mark.usefixtures("ungated")
 def test_parse_bars_reads_alone_when_no_process_can_be_forked(tmp_path):
     rows = _rows(*STRAIGHT)
     path = _write(tmp_path, "bars.csv", BARS_HEADER_LINE + "\n".join(rows) + "\n")
@@ -791,3 +798,40 @@ def test_parse_bars_reads_alone_when_no_process_can_be_forked(tmp_path):
     with mock.patch("os.fork", side_effect=no_process) as fork:
         assert _table_outcome(path) == expected
     assert fork.call_count == 1
+
+
+def test_parse_bars_forks_from_its_gate_on(tmp_path):
+    # One row per ticker, then blank lines up to the gate's exact size; one
+    # byte less is read by this process alone. Both give the serial table.
+    gate = ingest.FORK_MIN_BYTES
+    line = ROW.format("T{:06d}", 3) + "\n"
+    n = (gate - len(BARS_HEADER_LINE)) // len(line.format(0))
+    rows = BARS_HEADER_LINE + "".join(line.format(i) for i in range(n))
+    text = rows + "\n" * (gate - len(rows))
+    for size, forks in ((gate - 1, 0), (gate, 1)):
+        path = _write(tmp_path, f"{size}.csv", text[:size])
+        assert path.stat().st_size == size
+        with mock.patch("os.fork", wraps=os.fork) as fork:
+            outcome = _table_outcome(path)
+        assert fork.call_count == forks
+        with mock.patch.object(ingest, "may_fork", return_value=False):
+            assert outcome == _table_outcome(path)
+        assert len(outcome[0]) == n
+
+
+def test_child_columns_are_read_in_bounded_chunks(tmp_path):
+    # A column read whole is held twice at once, as bytes and in the array.
+    column = array("d", range(1 << 19))  # 4 MiB
+    path = tmp_path / "column"
+    with path.open("wb") as fh:
+        column.tofile(fh)
+    received = array("d")
+    with path.open("rb") as pipe:
+        tracemalloc.start()
+        try:
+            ingest._read_column(pipe, received, len(column))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert received == column
+    assert peak < 1.5 * len(column) * column.itemsize

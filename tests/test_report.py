@@ -592,6 +592,7 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("ungated")
 def test_emit_writes_the_same_files_with_a_child_and_without(demo_report, tmp_path):
     with mock.patch("os.fork", wraps=os.fork) as fork:
         written = emit(demo_report, tmp_path / "two")
@@ -603,6 +604,7 @@ def test_emit_writes_the_same_files_with_a_child_and_without(demo_report, tmp_pa
     assert [p.read_bytes() for p in written] == [p.read_bytes() for p in alone]
 
 
+@pytest.mark.usefixtures("ungated")
 def test_emit_failing_in_its_child_raises_as_alone_and_leaves_no_child(
     demo_report, tmp_path
 ):
@@ -621,6 +623,7 @@ def test_emit_failing_in_its_child_raises_as_alone_and_leaves_no_child(
     assert with_child == "[Errno 21] Is a directory: 'OUT/fig3.csv'"
 
 
+@pytest.mark.usefixtures("ungated")
 def test_emit_leaves_whole_csvs_when_report_json_fails(demo_report, tmp_path):
     # report.json fails at once, while the child still writes the CSVs:
     # emit waits for the child before it raises, so none is cut short.
@@ -640,6 +643,7 @@ def test_emit_leaves_whole_csvs_when_report_json_fails(demo_report, tmp_path):
     ]
 
 
+@pytest.mark.usefixtures("ungated")
 def test_emit_writes_alone_when_no_process_can_be_forked(demo_report, tmp_path):
     no_process = BlockingIOError(11, "Resource temporarily unavailable")
     with mock.patch("os.fork", side_effect=no_process) as fork:
@@ -649,6 +653,7 @@ def test_emit_writes_alone_when_no_process_can_be_forked(demo_report, tmp_path):
     assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
 
 
+@pytest.mark.usefixtures("ungated")
 def test_emit_does_not_fork_for_one_format_or_while_another_thread_runs(
     demo_report, tmp_path
 ):
@@ -666,6 +671,7 @@ def test_emit_does_not_fork_for_one_format_or_while_another_thread_runs(
     assert not thread.is_alive()
 
 
+@pytest.mark.usefixtures("ungated")
 def test_emit_of_many_samples_forks_only_for_the_csvs(demo_report, tmp_path):
     # report.json is encoded by this process however many samples there are.
     report = _repeated(demo_report, 4)  # 36 samples
@@ -680,6 +686,23 @@ def test_emit_of_many_samples_forks_only_for_the_csvs(demo_report, tmp_path):
         _no_child_left()
         with mock.patch.object(report_module, "may_fork", return_value=False):
             alone = emit(report, tmp_path / "alone" / out.name, formats=formats)
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in alone]
+
+
+def test_emit_forks_from_its_gate_on(demo_report, tmp_path):
+    # Below FORK_MIN_SAMPLES this process writes every file; from it on, a
+    # child writes the CSVs. The files are the same either way.
+    gate = report_module.FORK_MIN_SAMPLES
+    many = _repeated(demo_report, -(-gate // len(demo_report.samples)))
+    for samples, forks in ((gate - 1, 0), (gate, 1)):
+        report = dataclasses.replace(many, samples=many.samples[:samples])
+        out = tmp_path / str(samples)
+        with mock.patch("os.fork", wraps=os.fork) as fork:
+            written = emit(report, out)
+        assert fork.call_count == forks
+        _no_child_left()
+        with mock.patch.object(report_module, "may_fork", return_value=False):
+            alone = emit(report, out / "alone")
         assert [p.read_bytes() for p in written] == [p.read_bytes() for p in alone]
 
 
