@@ -46,10 +46,9 @@ def load_config_file(path: str) -> dict:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if raw.get("version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"config version must be {CONFIG_VERSION}, got {raw.get('version')!r}"
-        )
+    version = raw.get("version")
+    if isinstance(version, bool) or version != CONFIG_VERSION:  # True == 1
+        raise ConfigError(f"config version must be {CONFIG_VERSION}, got {version!r}")
     return raw
 
 

@@ -7,7 +7,10 @@ All files are UTF-8, comma-separated, header required:
     fundamentals.csv: ticker,fiscal_year,net_profit,shareholders_equity
     rates.csv:        date,rate
 
-Dates are ISO-8601 (YYYY-MM-DD). Numbers must be finite, a volume must fit
+Each header lists the fields of its model (``TradingBar``, ``SplitEvent``,
+``FundamentalRecord``) in order, and the writers write those fields
+through ``csv.writer``: a float as its ``repr``, a date as its ISO text.
+Dates are strictly YYYY-MM-DD. Numbers must be finite, a volume must fit
 a signed 64-bit integer, and a ticker may hold no control character. Parse
 errors always carry the offending line number. Parsing then writing any
 valid file is lossless field-wise.
@@ -24,8 +27,9 @@ import stat
 import sys
 from array import array
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .fork import may_fork, piped
@@ -45,6 +49,7 @@ FUNDAMENTALS_HEADER = ["ticker", "fiscal_year", "net_profit", "shareholders_equi
 RATES_HEADER = ["date", "rate"]
 # C0 and C1 control characters, DEL included.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @contextmanager
@@ -78,22 +83,34 @@ def _csv_reader(path: str | Path, header: list[str]) -> Iterator[Any]:
             raise DataError(_undecodable_line(path)) from None
 
 
-def _numbered(reader: Any) -> Iterator[tuple[int, list[str]]]:
-    """The reader's remaining non-blank rows, each with its line number.
+def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows of ``path`` past its header, each with its line
+    number and checked to hold one field per column.
 
     A row is numbered by the physical line it starts on, so a quoted field
     spanning lines does not shift later numbers.
     """
-    lineno = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield lineno, row
-        lineno = reader.line_num + 1
-
-
-def _read_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     with _csv_reader(path, header) as reader:
-        yield from _numbered(reader)
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield lineno, _sized(lineno, row, header)
+            lineno = reader.line_num + 1
+
+
+def _sized(lineno: int, row: list[str], header: list[str]) -> list[str]:
+    """``row``; raises unless it holds one field per column of ``header``."""
+    if len(row) != len(header):
+        raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+    return row
+
+
+def _model(lineno: int, model: Callable[..., Any], *values: Any) -> Any:
+    """``model(*values)``; its DataError is raised again naming the line."""
+    try:
+        return model(*values)
+    except DataError as exc:
+        raise DataError(f"line {lineno}: {exc}") from None
 
 
 def _undecodable_line(path: Path) -> str:
@@ -113,10 +130,15 @@ def _undecodable_line(path: Path) -> str:
 
 
 def _parse_date(text: str, lineno: int) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(text.strip())
-    except ValueError:
-        raise DataError(f"line {lineno}: bad date {text!r} (expected YYYY-MM-DD)")
+    """``text`` as a date of the form YYYY-MM-DD, outer whitespace aside; on
+    Python 3.11+ ``fromisoformat`` alone would also take 20130102."""
+    day = text.strip()
+    if _DATE.fullmatch(day):
+        try:
+            return datetime.date.fromisoformat(day)
+        except ValueError:  # a month or day out of range
+            pass
+    raise DataError(f"line {lineno}: bad date {text!r} (expected YYYY-MM-DD)")
 
 
 def _parse_float(text: str, lineno: int, name: str) -> float:
@@ -224,7 +246,7 @@ def _read_bars(reader: Any, days: dict[str, datetime.date], strict: bool):
                 name = names[text] = sys.intern(_ticker(text, end + 1))
             date = days.get(day)
             if date is None:
-                date = days[day] = datetime.date.fromisoformat(day.strip())
+                date = days[day] = _parse_date(day, end + 1)
             open_ = float(open_)
             high = float(high)
             low = float(low)
@@ -398,47 +420,30 @@ def _parse_bar_row(
     lineno: int, row: list[str], seen: set[tuple[str, datetime.date]]
 ) -> None:
     """One bars.csv row checked field by field; raises for its first fault."""
-    if len(row) != len(BARS_HEADER):
-        raise DataError(
-            f"line {lineno}: expected {len(BARS_HEADER)} fields, got {len(row)}"
-        )
-    ticker = _ticker(row[0], lineno)
-    date = _parse_date(row[1], lineno)
+    text, day, *prices, volume = _sized(lineno, row, BARS_HEADER)
+    ticker = _ticker(text, lineno)
+    date = _parse_date(day, lineno)
     if (ticker, date) in seen:
         raise DataError(f"line {lineno}: duplicate bar for {ticker} on {date}")
-    prices = [
-        _parse_float(text, lineno, name)
-        for text, name in zip(row[2:7], BARS_HEADER[2:7])
-    ]
-    volume = _parse_int(row[7], lineno, "volume")
-    try:
-        TradingBar(ticker, date, *prices, volume)
-    except DataError as exc:
-        raise DataError(f"line {lineno}: {exc}") from None
+    prices = [_parse_float(t, lineno, n) for t, n in zip(prices, PRICE_COLUMNS)]
+    volume = _parse_int(volume, lineno, "volume")
+    _model(lineno, TradingBar, ticker, date, *prices, volume)
 
 
 def parse_splits(path: str | Path) -> list[SplitEvent]:
     """Read splits.csv into events sorted by (ticker, effective_date)."""
     events: list[SplitEvent] = []
     seen: set[tuple[str, datetime.date]] = set()
-    for lineno, row in _read_rows(path, SPLITS_HEADER):
-        if len(row) != len(SPLITS_HEADER):
-            raise DataError(
-                f"line {lineno}: expected {len(SPLITS_HEADER)} fields, got {len(row)}"
-            )
-        ticker = _ticker(row[0], lineno)
-        date = _parse_date(row[1], lineno)
-        ratio = _parse_float(row[2], lineno, "ratio")
+    for lineno, (text, day, ratio_text) in _read_rows(path, SPLITS_HEADER):
+        ticker = _ticker(text, lineno)
+        date = _parse_date(day, lineno)
+        ratio = _parse_float(ratio_text, lineno, "ratio")
         if not ratio > 0:
-            raise DataError(f"line {lineno}: nonpositive split ratio {row[2]!r}")
-        key = (ticker, date)
-        if key in seen:
+            raise DataError(f"line {lineno}: nonpositive split ratio {ratio_text!r}")
+        if (ticker, date) in seen:
             raise DataError(f"line {lineno}: duplicate split for {ticker} on {date}")
-        seen.add(key)
-        try:
-            events.append(SplitEvent(ticker=ticker, effective_date=date, ratio=ratio))
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+        seen.add((ticker, date))
+        events.append(_model(lineno, SplitEvent, ticker, date, ratio))
     events.sort(key=lambda e: (e.ticker, e.effective_date))
     return events
 
@@ -447,33 +452,17 @@ def parse_fundamentals(path: str | Path) -> list[FundamentalRecord]:
     """Read fundamentals.csv; one record per (ticker, fiscal_year)."""
     records: list[FundamentalRecord] = []
     seen: set[tuple[str, int]] = set()
-    for lineno, row in _read_rows(path, FUNDAMENTALS_HEADER):
-        if len(row) != len(FUNDAMENTALS_HEADER):
-            raise DataError(
-                f"line {lineno}: expected {len(FUNDAMENTALS_HEADER)} fields, "
-                f"got {len(row)}"
-            )
-        ticker = _ticker(row[0], lineno)
-        year = _parse_int(row[1], lineno, "fiscal_year")
-        key = (ticker, year)
-        if key in seen:
+    for lineno, (text, year, profit, equity) in _read_rows(path, FUNDAMENTALS_HEADER):
+        ticker = _ticker(text, lineno)
+        year = _parse_int(year, lineno, "fiscal_year")
+        if (ticker, year) in seen:
             raise DataError(
                 f"line {lineno}: duplicate fundamentals for {ticker} year {year}"
             )
-        seen.add(key)
-        net_profit = _parse_float(row[2], lineno, "net_profit")
-        equity = _parse_float(row[3], lineno, "shareholders_equity")
-        try:
-            records.append(
-                FundamentalRecord(
-                    ticker=ticker,
-                    fiscal_year=year,
-                    net_profit=net_profit,
-                    shareholders_equity=equity,
-                )
-            )
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+        seen.add((ticker, year))
+        profit = _parse_float(profit, lineno, "net_profit")
+        equity = _parse_float(equity, lineno, "shareholders_equity")
+        records.append(_model(lineno, FundamentalRecord, ticker, year, profit, equity))
     records.sort(key=lambda r: (r.ticker, r.fiscal_year))
     return records
 
@@ -481,17 +470,13 @@ def parse_fundamentals(path: str | Path) -> list[FundamentalRecord]:
 def parse_rates(path: str | Path) -> ReferenceRateSeries:
     """Read rates.csv into a strictly date-increasing return series."""
     pairs: list[tuple[datetime.date, float]] = []
-    for lineno, row in _read_rows(path, RATES_HEADER):
-        if len(row) != len(RATES_HEADER):
-            raise DataError(
-                f"line {lineno}: expected {len(RATES_HEADER)} fields, got {len(row)}"
-            )
-        date = _parse_date(row[0], lineno)
+    for lineno, (day, text) in _read_rows(path, RATES_HEADER):
+        date = _parse_date(day, lineno)
         if pairs and date <= pairs[-1][0]:
             raise DataError(
                 f"line {lineno}: rate dates must be strictly increasing at {date}"
             )
-        rate = _parse_float(row[1], lineno, "rate")
+        rate = _parse_float(text, lineno, "rate")
         if not math.isfinite(rate):
             raise DataError(f"line {lineno}: rate ({rate}) must be finite")
         pairs.append((date, rate))
@@ -500,7 +485,9 @@ def parse_rates(path: str | Path) -> ReferenceRateSeries:
     )
 
 
-def _write(path: str | Path, header: list[str], rows: Iterable[Sequence[object]]) -> None:
+def _write(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """``header`` and then ``rows`` as a CSV; ``csv.writer`` writes a float as
+    its ``repr`` and any other value as its ``str``, a date's ISO text."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -508,47 +495,16 @@ def _write(path: str | Path, header: list[str], rows: Iterable[Sequence[object]]
 
 
 def write_bars(path: str | Path, bars: Sequence[TradingBar]) -> None:
-    _write(
-        path,
-        BARS_HEADER,
-        (
-            (
-                b.ticker,
-                b.date.isoformat(),
-                repr(b.open),
-                repr(b.high),
-                repr(b.low),
-                repr(b.close),
-                repr(b.adj_close),
-                b.volume,
-            )
-            for b in bars
-        ),
-    )
+    _write(path, BARS_HEADER, map(attrgetter(*BARS_HEADER), bars))
 
 
 def write_splits(path: str | Path, events: Sequence[SplitEvent]) -> None:
-    _write(
-        path,
-        SPLITS_HEADER,
-        ((e.ticker, e.effective_date.isoformat(), repr(e.ratio)) for e in events),
-    )
+    _write(path, SPLITS_HEADER, map(attrgetter(*SPLITS_HEADER), events))
 
 
 def write_fundamentals(path: str | Path, records: Sequence[FundamentalRecord]) -> None:
-    _write(
-        path,
-        FUNDAMENTALS_HEADER,
-        (
-            (r.ticker, r.fiscal_year, repr(r.net_profit), repr(r.shareholders_equity))
-            for r in records
-        ),
-    )
+    _write(path, FUNDAMENTALS_HEADER, map(attrgetter(*FUNDAMENTALS_HEADER), records))
 
 
 def write_rates(path: str | Path, series: ReferenceRateSeries) -> None:
-    _write(
-        path,
-        RATES_HEADER,
-        ((d.isoformat(), repr(r)) for d, r in zip(series.dates, series.rates)),
-    )
+    _write(path, RATES_HEADER, zip(series.dates, series.rates))

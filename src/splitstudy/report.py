@@ -20,7 +20,7 @@ import json
 import math
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -651,29 +651,21 @@ def _resolve_synthetic(config: RunConfig) -> RunConfig:
 
 
 def _params_dict(params: RunParams) -> dict[str, Any]:
+    """Every ``RunParams`` field in order, then the window span and groups."""
     return {
-        "hypothesis": params.hypothesis,
-        "price_basis": params.price_basis,
-        "volume_basis": params.volume_basis,
-        "beta_variant": params.beta_variant,
-        "month_days": params.month_days,
-        "min_coverage": params.min_coverage,
+        **asdict(params),
         "window_span": [-params.pre_span, params.post_span],
         "groups": [list(GROUP_1), list(GROUP_2), list(GROUP_3)],
     }
 
 
 def _config_dict(config: RunConfig) -> dict[str, Any]:
-    return {
-        "bars": config.bars,
-        "splits": config.splits,
-        "fundamentals": config.fundamentals,
-        "rates": config.rates,
-        "out": config.out,
-        "seed": config.seed,
-        "emit": list(config.emit) if config.emit is not None else None,
-        "timestamp": config.timestamp,
-    }
+    """Every ``RunConfig`` field in order but ``params``, ``emit`` as a list."""
+    values = asdict(config)
+    del values["params"]
+    if config.emit is not None:
+        values["emit"] = list(config.emit)
+    return values
 
 
 def _shape(result: Any, fields: Iterable[Any] = (), **context: Any) -> Any:

@@ -181,6 +181,16 @@ def test_config_file_validation(tmp_path):
     assert main(["--config", str(not_utf8)]) == 1
 
 
+def test_config_version_true_is_rejected(tmp_path, capsys):
+    # True == 1 in Python, but a bool is not the version number.
+    config = tmp_path / "run.json"
+    out = tmp_path / "o"
+    config.write_text(json.dumps({"version": True, "seed": 1, "out": str(out)}))
+    assert main(["--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: config version must be 1, got True\n"
+    assert not out.exists()
+
+
 def test_build_config_emit_parsing():
     config = build_config({}, {"emit": "fig1, fig2"})
     assert config.emit == ("fig1", "fig2")

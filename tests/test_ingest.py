@@ -1,5 +1,6 @@
 """CSV parsing, validation errors and round-trip losslessness."""
 
+import dataclasses
 import datetime
 import os
 import re
@@ -28,7 +29,12 @@ from splitstudy.ingest import (
     write_rates,
     write_splits,
 )
-from splitstudy.models import FundamentalRecord, ReferenceRateSeries
+from splitstudy.models import (
+    FundamentalRecord,
+    ReferenceRateSeries,
+    SplitEvent,
+    TradingBar,
+)
 from splitstudy.synthetic import ScenarioSpec, generate_history
 
 from oracles import parse_bars_per_field
@@ -229,6 +235,26 @@ def test_non_finite_values_rejected_with_line(tmp_path, parse, text, message):
     with pytest.raises(DataError) as exc_info:
         parse(path)
     assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_bars, BARS_HEADER_LINE + "X,2013-06-03,10,11,9,10.5,10.5,1000\n"
+         + "X,{day},10,11,9,10.5,10.5,1000\n"),
+        (parse_splits, "ticker,effective_date,ratio\nX,2014-01-02,2\nY,{day},2\n"),
+        (parse_rates, "date,rate\n2013-01-02,0.01\n{day},0.02\n"),
+    ],
+    ids=["bars", "splits", "rates"],
+)
+@pytest.mark.parametrize("day", ["20130604", "2013-W23-2"])
+def test_dates_other_than_yyyy_mm_dd_rejected_with_line(tmp_path, parse, text, day):
+    # Python 3.11+'s date.fromisoformat also takes the basic and week forms;
+    # the schema allows YYYY-MM-DD alone, on every Python.
+    path = _write(tmp_path, "input.csv", text.format(day=day))
+    with pytest.raises(DataError) as exc_info:
+        parse(path)
+    assert str(exc_info.value) == f"line 3: bad date {day!r} (expected YYYY-MM-DD)"
 
 
 TICKERS = ("AA", " AA", "BB", "CC ")
@@ -569,6 +595,53 @@ def test_round_trip_fundamentals_and_rates(tmp_path):
     assert parse_rates(rpath) == series
 
 
+@pytest.mark.parametrize(
+    "header, model",
+    [
+        (ingest.BARS_HEADER, TradingBar),
+        (ingest.SPLITS_HEADER, SplitEvent),
+        (ingest.FUNDAMENTALS_HEADER, FundamentalRecord),
+    ],
+    ids=["bars", "splits", "fundamentals"],
+)
+def test_header_lists_its_model_fields_in_order(header, model):
+    # The writers write each header's fields of the model by name.
+    assert header == [f.name for f in dataclasses.fields(model)]
+
+
+def test_writers_write_pinned_bytes_for_edge_values(tmp_path):
+    # Floats written as their repr (exponent forms included), a ticker that
+    # needs quoting and the largest volume, byte for byte as before.
+    day, next_day = datetime.date(2013, 1, 2), datetime.date(2013, 1, 3)
+    ticker, tiny, huge, sum_ = 'A,"B', 1e-07, 1e16, 0.1 + 0.2
+    paths = [tmp_path / name for name in ("b.csv", "s.csv", "f.csv", "r.csv")]
+    write_bars(paths[0], [
+        TradingBar(ticker, day, sum_, huge, tiny, 0.5, tiny, 2**63 - 1),
+        TradingBar("Z", next_day, 2.0, 2.0, 2.0, 2.0, 2.0, 0),
+    ])
+    write_splits(paths[1], [SplitEvent(ticker, day, tiny), SplitEvent("Z", day, sum_)])
+    write_fundamentals(paths[2], [
+        FundamentalRecord(ticker, 2013, huge, -tiny),
+        FundamentalRecord("Z", 2014, sum_, -0.0),
+    ])
+    dates = (day, next_day, datetime.date(2013, 1, 4))
+    write_rates(paths[3], ReferenceRateSeries(dates, (tiny, sum_, -huge)))
+    assert [path.read_bytes() for path in paths] == [
+        b"ticker,date,open,high,low,close,adj_close,volume\r\n"
+        b'"A,""B",2013-01-02,0.30000000000000004,1e+16,1e-07,0.5,1e-07,'
+        b"9223372036854775807\r\n"
+        b"Z,2013-01-03,2.0,2.0,2.0,2.0,2.0,0\r\n",
+        b"ticker,effective_date,ratio\r\n"
+        b'"A,""B",2013-01-02,1e-07\r\n'
+        b"Z,2013-01-02,0.30000000000000004\r\n",
+        b"ticker,fiscal_year,net_profit,shareholders_equity\r\n"
+        b'"A,""B",2013,1e+16,-1e-07\r\n'
+        b"Z,2014,0.30000000000000004,-0.0\r\n",
+        b"date,rate\r\n"
+        b"2013-01-02,1e-07\r\n2013-01-03,0.30000000000000004\r\n2013-01-04,-1e+16\r\n",
+    ]
+
+
 @given(
     st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -642,6 +715,10 @@ TWO_PROCESS_CASES = {
     "header-only": ("\n", True, None),
     "header-only-no-newline": ("", True, None),
     "one-row": (_lines(_rows(("A", 3))), True, None),
+    "compact-date-after-cut": (
+        _lines(_rows(*STRAIGHT)).replace("2013-06-06", "20130606"), False,
+        "line 5: bad date '20130606' (expected YYYY-MM-DD)",
+    ),
 }
 
 
