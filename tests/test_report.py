@@ -334,7 +334,7 @@ def test_demo_to_json_is_stdlib_indent(hypothesis, tmp_path):
             out=str(tmp_path), seed=seed, params=RunParams(hypothesis=hypothesis)
         )
         report = run_pipeline(config)
-        assert report.to_json() == _stdlib(report.to_dict()) + "\n"
+        assert report.to_json() == (_stdlib(report.to_dict()) + "\n").encode()
 
 
 def test_edge_reports_to_json_is_stdlib_indent():
@@ -357,7 +357,7 @@ def test_edge_reports_to_json_is_stdlib_indent():
             config={}, inputs={"bars": None}, params=params, samples=samples,
             aggregate={"n_samples": len(samples)}, exclusions=exclusions,
         )
-        assert report.to_json() == _stdlib(report.to_dict()) + "\n"
+        assert report.to_json() == (_stdlib(report.to_dict()) + "\n").encode()
 
 
 def _edge_report():
@@ -485,11 +485,19 @@ def _repeated(report, copies):
 
 @pytest.mark.parametrize("copies", [1, 8])
 def test_to_json_peak_stays_near_its_text(demo_report, copies):
-    # The pieces and the joined text, not a dict tree of the whole report
-    # and further copies of the text beside them.
+    # The buffer and one sample's piece, not a dict tree of the whole
+    # report, the pieces or further copies of the text beside it.
     report = _repeated(demo_report, copies)
-    text = report.to_json()
-    assert _traced_peak(report.to_json) <= 2.5 * len(text)
+    size = len(report.to_json())
+    assert _traced_peak(report.to_json) <= 1.5 * size
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+def test_json_emit_peak_stays_near_report_json(demo_report, copies, tmp_path):
+    report = _repeated(demo_report, copies)
+    (path,) = emit(report, tmp_path, ("json",))  # first calls fill caches
+    peak = _traced_peak(lambda: emit(report, tmp_path, ("json",)))
+    assert peak <= 1.5 * path.stat().st_size
 
 
 def test_csv_emit_peak_does_not_grow_with_samples(demo_report, tmp_path):
@@ -502,14 +510,13 @@ def test_csv_emit_peak_does_not_grow_with_samples(demo_report, tmp_path):
 
 
 def test_emit_writes_report_json_without_a_copy_of_its_text(demo_report, tmp_path):
-    # Given the text, emit holds one slice of it at a time beside it, not
-    # the whole text encoded as bytes.
+    # Given the bytes, emit writes them as they are, without a copy.
     report = _repeated(demo_report, 8)
-    text = report.to_json()
-    with mock.patch.object(type(report), "to_json", return_value=text):
+    data = report.to_json()
+    with mock.patch.object(type(report), "to_json", return_value=data):
         peak = _traced_peak(lambda: emit(report, tmp_path, ("json",)))
-    assert peak < len(text) / 8
-    assert (tmp_path / "report.json").read_text(encoding="utf-8") == text
+    assert peak < len(data) / 8
+    assert (tmp_path / "report.json").read_bytes() == data
 
 
 @pytest.mark.parametrize("n_tickers", [4, 16])
@@ -676,7 +683,7 @@ def test_emit_of_many_samples_forks_only_for_the_csvs(demo_report, tmp_path):
     # report.json is encoded by this process however many samples there are.
     report = _repeated(demo_report, 4)  # 36 samples
     with mock.patch("os.fork", wraps=os.fork) as fork:
-        assert report.to_json() == _stdlib(report.to_dict()) + "\n"
+        assert report.to_json() == (_stdlib(report.to_dict()) + "\n").encode()
     assert fork.call_count == 0
     for formats, forks in ((("json",), 0), (("json", "csv"), 1)):
         out = tmp_path / "-".join(formats)
@@ -749,6 +756,20 @@ def test_volume_outside_every_window_is_not_adjusted(tmp_path):
 def test_emit_unknown_selector(demo_report, tmp_path):
     with pytest.raises(ConfigError, match="unknown selector"):
         emit(demo_report, tmp_path, selectors=["fig99"])
+
+
+@pytest.mark.parametrize(
+    "selectors, message",
+    [
+        (["bogus", "bogus"], "unknown selector 'bogus'"),
+        (["fig1", "fig1"], "more than once"),
+    ],
+)
+def test_emit_checks_selectors_for_json_alone(demo_report, selectors, message, tmp_path):
+    # Selectors are checked before any file is written, CSVs asked for or not.
+    with pytest.raises(ConfigError, match=message):
+        emit(demo_report, tmp_path / "out", ("json",), selectors=selectors)
+    assert not (tmp_path / "out").exists()
 
 
 def test_hypothesis_gating(demo_paths, tmp_path):
