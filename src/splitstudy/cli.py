@@ -3,11 +3,13 @@
 One command runs the whole pipeline: ingest (or synthesize with --seed),
 analyze, and emit report.json plus figure/table CSVs. Configuration comes
 from an optional JSON config file (explicit "version" key required) with
-command-line flags taking precedence.
+command-line flags taking precedence. Its keys are the fields of RunConfig
+and RunParams (``basis`` for ``price_basis``), which hold every default and
+check every value; this module only maps flags and keys onto them.
 
-Exit codes: 0 success, 1 input, config or usage error (an unknown option
-too), 2 no analyzable samples, 3 internal error. A path or timestamp key
-that is not a string, and a selector given twice, are config errors.
+Exit codes: 0 success, 1 input, config or usage error (a value the
+dataclasses reject, a selector given twice or an unknown option too), 2 no
+analyzable samples, 3 internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import Field, fields
 from pathlib import Path
 
 from . import __version__
@@ -26,11 +29,12 @@ from .report import (
 
 CONFIG_VERSION = 1
 
-_CONFIG_KEYS = {
-    "version", "bars", "splits", "fundamentals", "rates", "out",
-    "hypothesis", "basis", "volume_basis", "beta_variant", "month_days",
-    "min_coverage", "seed", "emit", "timestamp",
-}
+# Each config key and the field it sets: a RunConfig or RunParams field by
+# its own name, but "basis" for price_basis.
+_FIELDS = {f.name: f for f in fields(RunConfig) + fields(RunParams)}
+del _FIELDS["params"]
+_FIELDS["basis"] = _FIELDS.pop("price_basis")
+_CONFIG_KEYS = {"version", *_FIELDS}
 
 
 def load_config_file(path: str) -> dict:
@@ -52,63 +56,39 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
-def _integer(merged: dict, key: str, default: int | None) -> int | None:
-    """``merged[key]`` as an int; a bool or a number with a fractional part
-    is rejected rather than truncated, and a numeric string is parsed."""
-    value = merged.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return None if value is None else int(value)
+def _typed(field: Field, value):
+    """``value`` converted where JSON cannot type it: for an int field a
+    numeric string or a whole float, for a float field anything but a bool."""
+    if field.type in ("int", "int | None") and (
+        isinstance(value, str) or isinstance(value, float) and value.is_integer()
+    ):
+        return int(value)
+    if field.type == "float" and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 def build_config(file_values: dict, flag_values: dict) -> RunConfig:
     """Merge config-file values with flag overrides into a RunConfig."""
-    merged = dict(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
+    merged = {**file_values, **{k: v for k, v in flag_values.items() if v is not None}}
+    merged.pop("version", None)
 
     emit_value = merged.get("emit")
     if isinstance(emit_value, str):
         emit_value = [e.strip() for e in emit_value.split(",") if e.strip()]
-    if emit_value is not None and not isinstance(emit_value, list):
+    if isinstance(emit_value, list):
+        merged["emit"] = None if emit_value == ["all"] else tuple(emit_value)
+    elif emit_value is not None:
         raise ConfigError("emit must be a list of selector ids or 'all'")
-    if emit_value == ["all"]:
-        emit_value = None
-    if isinstance(merged.get("min_coverage"), bool):
-        raise ConfigError(
-            f"min_coverage must be a number, got {merged['min_coverage']!r}"
-        )
-    for key in ("bars", "splits", "fundamentals", "rates", "out", "timestamp"):
-        if merged.get(key) is not None and not isinstance(merged[key], str):
-            raise ConfigError(f"{key} must be a string, got {merged[key]!r}")
 
     try:
-        params = RunParams(
-            hypothesis=merged.get("hypothesis", "all"),
-            price_basis=merged.get("basis", "adjusted"),
-            volume_basis=merged.get("volume_basis", "raw"),
-            beta_variant=merged.get("beta_variant", "cov"),
-            month_days=_integer(merged, "month_days", 21),
-            min_coverage=float(merged.get("min_coverage", 0.95)),
-        )
-        seed = _integer(merged, "seed", None)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        values = {_FIELDS[k].name: _typed(_FIELDS[k], v) for k, v in merged.items()}
+    except (TypeError, ValueError) as exc:  # int() or float() of a bad value
         raise ConfigError(f"bad parameter value: {exc}")
-
-    return RunConfig(
-        bars=merged.get("bars"),
-        splits=merged.get("splits"),
-        fundamentals=merged.get("fundamentals"),
-        rates=merged.get("rates"),
-        out=merged.get("out", "out"),
-        params=params,
-        seed=seed,
-        emit=tuple(emit_value) if emit_value is not None else None,
-        timestamp=merged.get("timestamp"),
-    )
+    params = RunParams(**{
+        f.name: values.pop(f.name) for f in fields(RunParams) if f.name in values
+    })
+    return RunConfig(params=params, **values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,16 +111,17 @@ def _parser() -> argparse.ArgumentParser:
     add("--splits", help="splits.csv path.")
     add("--fundamentals", help="fundamentals.csv path.")
     add("--rates", help="rates.csv path.")
-    add("--out", help="Output directory (default ./out).")
+    add("--out", help=f"Output directory (default ./{RunConfig.out}).")
     add("--hypothesis", choices=HYPOTHESES,
         help="Which hypothesis sections to compute.")
     add("--basis", choices=PRICE_BASES,
-        help="Price basis for price analytics (default adjusted).")
+        help=f"Price basis for price analytics (default {RunParams.price_basis}).")
     add("--beta-variant", choices=BETA_VARIANTS,
-        help="Beta formula variant (default cov).")
-    add("--month-days", type=int, help="Trading days per month (default 21).")
+        help=f"Beta formula variant (default {RunParams.beta_variant}).")
+    add("--month-days", type=int,
+        help=f"Trading days per month (default {RunParams.month_days}).")
     add("--min-coverage", type=float,
-        help="Minimum window coverage fraction (default 0.95).")
+        help=f"Minimum window coverage fraction (default {RunParams.min_coverage}).")
     add("--seed", type=int,
         help="Synthetic mode: generate a seeded 9-sample universe "
              "under OUT/inputs and analyze it.")

@@ -101,6 +101,8 @@ POST_CHANGE_MONTHS = (3, 6, 9, 12)
 AROUND_SPLIT_MONTHS = (1, 2, 3, 4)
 ABNORMAL_MONTHS = (1, 2, 3, 4)
 VALUE_FACTOR_MONTHS = (6, 12)
+LONGEST_MONTHS = max(chain(POST_CHANGE_MONTHS, AROUND_SPLIT_MONTHS, ABNORMAL_MONTHS,
+                           VALUE_FACTOR_MONTHS))
 
 # Samples from which emit writes the CSVs in a forked child, the measured
 # break-even: the child ran even at 16 and slower at 12 (2-core EPYC).
@@ -125,11 +127,16 @@ class RunParams:
             raise ConfigError(f"basis must be one of {PRICE_BASES}")
         if self.volume_basis not in VOLUME_BASES:
             raise ConfigError(f"volume_basis must be one of {VOLUME_BASES}")
-        if self.beta_variant not in BETA_VARIANTS:
+        if self.beta_variant not in tuple(BETA_VARIANTS):  # a list is unhashable
             raise ConfigError(f"beta_variant must be one of {tuple(BETA_VARIANTS)}")
+        if type(self.month_days) is not int:  # a bool is an int too
+            raise ConfigError(f"month_days must be an integer, got {self.month_days!r}")
         if self.month_days < 1:
             raise ConfigError("month_days must be >= 1")
-        if not 0.0 <= self.min_coverage <= 1.0:
+        coverage = self.min_coverage
+        if isinstance(coverage, bool) or not isinstance(coverage, (int, float)):
+            raise ConfigError(f"min_coverage must be a number, got {coverage!r}")
+        if not 0.0 <= coverage <= 1.0:
             raise ConfigError("min_coverage must be in [0, 1]")
 
     def wants(self, hypothesis: str) -> bool:
@@ -145,11 +152,15 @@ class RunParams:
 
     @property
     def pre_span(self) -> int:
-        return max(PRE_WINDOW_DAYS, 91, GAP_SPAN, self.half_year_days)
+        """The most trading days before the split that a metric reads."""
+        months = max(AROUND_SPLIT_MONTHS) * self.month_days
+        return max(PRE_WINDOW_DAYS, -GROUP_1[0], GAP_SPAN, self.half_year_days, months)
 
     @property
     def post_span(self) -> int:
-        return max(91, GAP_SPAN, 12 * self.month_days)
+        """The most trading days after the split that a metric reads."""
+        months = LONGEST_MONTHS * self.month_days
+        return max(GROUP_3[1], GAP_SPAN, self.half_year_days, months)
 
 
 @dataclass(frozen=True)
@@ -165,6 +176,16 @@ class RunConfig:
     seed: int | None = None
     emit: tuple[str, ...] | None = None
     timestamp: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("bars", "splits", "fundamentals", "rates", "timestamp"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -390,7 +411,7 @@ def analyze_sample(
             analysis, "period_averages",
             lambda: period_averages(window, params.price_field),
         )
-        analysis.price_series = window.series(-91, 91, params.price_field)
+        analysis.price_series = window.series(GROUP_1[0], GROUP_3[1], params.price_field)
 
     if params.wants("h1") or params.wants("h3"):
         analysis.volume_series = volume_window.series(-GAP_SPAN, GAP_SPAN, "volume")

@@ -30,6 +30,7 @@ from .models import (
     SplitEvent,
     TradingBar,
 )
+from .returns import pct_change_series
 
 PRICE_DECIMALS = 4
 
@@ -171,9 +172,5 @@ def reference_rates(bars: Sequence[TradingBar]) -> ReferenceRateSeries:
     """
     if len(bars) < 2:
         raise DataError("need at least 2 bars for a return series")
-    dates = []
-    rates = []
-    for prev, cur in zip(bars, bars[1:]):
-        dates.append(cur.date)
-        rates.append((cur.adj_close - prev.adj_close) / prev.adj_close)
-    return ReferenceRateSeries(dates=tuple(dates), rates=tuple(rates))
+    rates = pct_change_series([bar.adj_close for bar in bars])
+    return ReferenceRateSeries(tuple(bar.date for bar in bars[1:]), tuple(rates))

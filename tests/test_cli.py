@@ -166,6 +166,17 @@ def test_config_file_validation(tmp_path):
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config_file(str(unknown))
 
+    # A key is a RunConfig or RunParams field, but "basis" for price_basis.
+    assert cli._CONFIG_KEYS == {
+        "version", "bars", "splits", "fundamentals", "rates", "out",
+        "hypothesis", "basis", "volume_basis", "beta_variant", "month_days",
+        "min_coverage", "seed", "emit", "timestamp",
+    }
+    field_name = tmp_path / "f.json"
+    field_name.write_text(json.dumps({"version": 1, "price_basis": "raw"}))
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['price_basis'\]"):
+        load_config_file(str(field_name))
+
     not_json = tmp_path / "n.json"
     not_json.write_text("{nope")
     with pytest.raises(ConfigError, match="JSON"):
@@ -233,6 +244,7 @@ def test_timestamp_pinning(tmp_path, capsys):
         ({"splits": ["s.csv"]}, "splits must be a string, got ['s.csv']"),
         ({"fundamentals": 1.5}, "fundamentals must be a string, got 1.5"),
         ({"rates": {}}, "rates must be a string, got {}"),
+        ({"out": None}, "out must be a string, got None"),
     ],
 )
 def test_config_values_are_rejected_not_coerced(tmp_path, capsys, values, message):

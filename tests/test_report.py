@@ -13,16 +13,21 @@ import random
 import threading
 import tracemalloc
 from array import array
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitstudy import prices as prices_module
 from splitstudy import report as report_module
+from splitstudy import returns as returns_module
 from splitstudy.demo import demo_universe, write_demo_universe
 from splitstudy.errors import ConfigError, DataError, NoSamplesError
 from splitstudy.ingest import write_bars, write_splits
-from splitstudy.models import BarTable, OffsetSeries, SplitEvent, group_by_ticker
+from splitstudy.models import (
+    BarTable, EventWindow, OffsetSeries, SplitEvent, group_by_ticker,
+)
 from splitstudy.fundamentals import IndexedProfitRow
 from splitstudy.prices import RAW, SPLIT_ADJUSTED, GapSeries
 from splitstudy.report import (
@@ -840,6 +845,58 @@ def test_price_change_absent_when_window_starts_at_day_zero():
         "price_change_3m: no bar within 3 trading days of offset -1"
         in sample.notes
     )
+
+
+@pytest.mark.parametrize("month_days", [1, 5, 15, 21, 79])
+def test_window_span_is_the_offsets_the_metrics_read(month_days, monkeypatch):
+    # Record every offset a metric asks the window for, through the window's
+    # one range accessor and the one point accessor each module calls.
+    params = RunParams(month_days=month_days, min_coverage=0.0)
+    pre, post = params.pre_span, params.post_span
+    bars, event = generate_history(
+        ScenarioSpec(seed=4, n_days=pre + post + 41, split_day=pre + 20)
+    )
+    read = []
+    between = EventWindow.between
+
+    def recorded_between(window, lo, hi):
+        read.extend((lo, hi))
+        return between(window, lo, hi)
+
+    monkeypatch.setattr(EventWindow, "between", recorded_between)
+    for module in (report_module, returns_module, prices_module):
+        def recorded_price_at(window, offset, *args, original=module.price_at, **kw):
+            read.append(offset)
+            return original(window, offset, *args, **kw)
+
+        monkeypatch.setattr(module, "price_at", recorded_price_at)
+    rates = reference_rates(bars)
+    (sample,), _ = analyze_universe(bars, [event], [], rates, params)
+    assert sample.beta is not None and len(sample.abnormal) == 8
+    assert (min(read), max(read)) == (-pre, post)
+
+
+@pytest.mark.parametrize(
+    "model, values, message",
+    [
+        (RunConfig, {"bars": Path("b.csv"), "splits": Path("s.csv")},
+         f"bars must be a string, got {Path('b.csv')!r}"),
+        (RunConfig, {"out": Path("o")}, f"out must be a string, got {Path('o')!r}"),
+        (RunConfig, {"seed": True}, "seed must be an integer, got True"),
+        (RunParams, {"month_days": True}, "month_days must be an integer, got True"),
+        (RunParams, {"month_days": 21.5}, "month_days must be an integer, got 21.5"),
+        (RunParams, {"min_coverage": True}, "min_coverage must be a number, got True"),
+        (RunParams, {"beta_variant": ["cov"]},
+         "beta_variant must be one of ('cov', 'corr')"),
+    ],
+    ids=["path-inputs", "path-out", "bool-seed", "bool-month", "fractional-month",
+         "bool-coverage", "list-variant"],
+)
+def test_run_settings_are_checked_when_built(model, values, message):
+    # The CLI's messages, for library callers too, before any input is read.
+    with pytest.raises(ConfigError) as exc_info:
+        model(**values)
+    assert str(exc_info.value) == message
 
 
 @functools.lru_cache(maxsize=None)
